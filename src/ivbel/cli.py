@@ -26,15 +26,14 @@ from .core import (
     MASS_SUM_TOL,
     Bpa,
     FocalSet,
-    IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
     degenerate_bpa,
     is_normalized,
+    normalization_steps,
     normalize,
     validate_ibs,
 )
-from .core import _rescale_proportionally
 from .entropy import MEASURE_IDS, SEPARABLE_MEASURE_IDS, entropy, measure
 from .formats import (
     EvidenceFile,
@@ -74,16 +73,8 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _normalization_actions(ibs: IntervalBeliefStructure) -> tuple[str, ...]:
-    """Describe what :func:`normalize` does to this structure."""
-    actions = []
-    current = ibs
-    if not validate_ibs(current).ok:
-        actions.append("rescaled proportionally")
-        current = _rescale_proportionally(current)
-    if not is_normalized(current, tol=0.0):
-        actions.append("tightened bounds")
-    return tuple(actions) if actions else ("already normalized",)
+def _describe_steps(steps: tuple[str, ...]) -> str:
+    return "; ".join(steps) or "already normalized"
 
 
 def _echo_inputs(ev: EvidenceFile) -> list[str]:
@@ -133,10 +124,10 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     ev = load_evidence(args.file)
     frame = ev.frame
     normalized = []
-    actions = {}
+    steps = {}
     for name, body in ev.bodies:
-        actions[name] = _normalization_actions(body)
-        normalized.append((name, normalize(body)))
+        body, steps[name] = normalization_steps(body)
+        normalized.append((name, body))
 
     if args.format == "json":
         _print_json(evidence_to_json(EvidenceFile(frame, tuple(normalized))))
@@ -149,7 +140,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         print(render_csv("body", rows), end="")
     else:
         for name, body in normalized:
-            print(f"{name}: {'; '.join(actions[name])}")
+            print(f"{name}: {_describe_steps(steps[name])}")
             print(render_intervals_table(frame, body.entries))
         print(_TOLERANCE_FOOTER)
     return 0
@@ -235,9 +226,9 @@ def _combine_dispatch(
     if args.normalize_inputs:
         bodies = []
         for name, body in zip(names, raw_bodies):
-            actions = _normalization_actions(body)
-            details.append(f"normalization {name}: {'; '.join(actions)}")
-            bodies.append(normalize(body))
+            body, steps = normalization_steps(body)
+            details.append(f"normalization {name}: {_describe_steps(steps)}")
+            bodies.append(body)
     else:
         bodies = raw_bodies
 

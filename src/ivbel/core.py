@@ -11,7 +11,7 @@ point mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -32,6 +32,7 @@ __all__ = [
     "validate_ibs",
     "is_normalized",
     "normalize",
+    "normalization_steps",
     "degenerate_bpa",
     "from_bpa",
     "bel",
@@ -246,14 +247,12 @@ class Bpa:
 
 def _canonical_interval_entries(
     entries: Iterable[tuple[FocalSet, float, float]],
-    *,
-    allow_empty_set: bool = False,
 ) -> tuple[tuple[FocalSet, float, float], ...]:
     seen: set[int] = set()
     out: list[tuple[FocalSet, float, float]] = []
     for fs, lo, hi in entries:
         lo, hi = float(lo), float(hi)
-        if fs.is_empty and not allow_empty_set:
+        if fs.is_empty:
             raise IvbelError("interval structure cannot carry the empty set")
         if fs.bits in seen:
             raise IvbelError(f"duplicate focal set {fs.bits:#x}")
@@ -266,35 +265,17 @@ def _canonical_interval_entries(
 
 
 @dataclass(frozen=True)
-class IntervalBeliefStructure:
-    """Focal sets with interval bounds ``[lo, hi]`` on their masses.
-
-    Construction checks only per-entry structure (distinct non-empty sets,
-    ``0 <= lo <= hi <= 1``).  Whether a structure is valid as a whole, i.e.
-    admits at least one BPA within the bounds, is a separate question
-    answered by :func:`validate_ibs`.
-    """
+class _IntervalEntries:
+    """Distinct non-empty focal sets of one frame with ``[lo, hi]`` bounds,
+    kept in canonical order (ascending bit value)."""
 
     frame: Frame
     entries: tuple[tuple[FocalSet, float, float], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _canonical_interval_entries(self.entries))
-        if not self.entries:
-            raise IvbelError("interval structure must have at least one focal set")
         for fs, _, _ in self.entries:
             self.frame._check_subset(fs)
-
-    @classmethod
-    def from_mapping(
-        cls,
-        frame: Frame,
-        bounds: Mapping[FocalSet | str | Iterable[str], tuple[float, float]],
-    ) -> "IntervalBeliefStructure":
-        return cls(
-            frame,
-            tuple((_coerce_set(frame, key), lo, hi) for key, (lo, hi) in bounds.items()),
-        )
 
     @cached_property
     def _lookup(self) -> dict[int, tuple[float, float]]:
@@ -306,6 +287,36 @@ class IntervalBeliefStructure:
     @property
     def focal_sets(self) -> tuple[FocalSet, ...]:
         return tuple(fs for fs, _, _ in self.entries)
+
+    def __iter__(self) -> Iterator[tuple[FocalSet, float, float]]:
+        return iter(self.entries)
+
+
+@dataclass(frozen=True)
+class IntervalBeliefStructure(_IntervalEntries):
+    """Focal sets with interval bounds ``[lo, hi]`` on their masses.
+
+    Construction checks only per-entry structure (distinct non-empty sets,
+    ``0 <= lo <= hi <= 1``).  Whether a structure is valid as a whole, i.e.
+    admits at least one BPA within the bounds, is a separate question
+    answered by :func:`validate_ibs`.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.entries:
+            raise IvbelError("interval structure must have at least one focal set")
+
+    @classmethod
+    def from_mapping(
+        cls,
+        frame: Frame,
+        bounds: Mapping[FocalSet | str | Iterable[str], tuple[float, float]],
+    ) -> "IntervalBeliefStructure":
+        return cls(
+            frame,
+            tuple((_coerce_set(frame, key), lo, hi) for key, (lo, hi) in bounds.items()),
+        )
 
     @property
     def lower_bounds(self) -> tuple[float, ...]:
@@ -319,12 +330,9 @@ class IntervalBeliefStructure:
         """True when every interval has zero width, i.e. the structure is a BPA."""
         return all(hi - lo <= tol for _, lo, hi in self.entries)
 
-    def __iter__(self) -> Iterator[tuple[FocalSet, float, float]]:
-        return iter(self.entries)
-
 
 @dataclass(frozen=True)
-class IntervalMassResult:
+class IntervalMassResult(_IntervalEntries):
     """Combined evidence as per-focal-set intervals.
 
     ``includes_empty`` carries the bounds attributed to the empty set when a
@@ -333,40 +341,25 @@ class IntervalMassResult:
     the tightness conditions checked by :func:`is_normalized`.
     """
 
-    frame: Frame
-    entries: tuple[tuple[FocalSet, float, float], ...]
     includes_empty: tuple[float, float] | None = None
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", _canonical_interval_entries(self.entries)
-        )
-        for fs, _, _ in self.entries:
-            self.frame._check_subset(fs)
+        super().__post_init__()
         if self.includes_empty is not None:
             lo, hi = self.includes_empty
             if not 0.0 <= lo <= hi <= 1.0:
                 raise IvbelError(f"empty-set interval [{lo}, {hi}] out of range")
             object.__setattr__(self, "includes_empty", (float(lo), float(hi)))
 
-    @cached_property
-    def _lookup(self) -> dict[int, tuple[float, float]]:
-        return {fs.bits: (lo, hi) for fs, lo, hi in self.entries}
-
-    def interval(self, a: FocalSet) -> tuple[float, float]:
-        return self._lookup.get(a.bits, (0.0, 0.0))
-
-    @property
-    def focal_sets(self) -> tuple[FocalSet, ...]:
-        return tuple(fs for fs, _, _ in self.entries)
-
     def as_ibs(self) -> IntervalBeliefStructure:
         """Reinterpret the non-empty entries as an interval belief structure."""
         return IntervalBeliefStructure(self.frame, self.entries)
 
-    def __iter__(self) -> Iterator[tuple[FocalSet, float, float]]:
-        return iter(self.entries)
+
+def _check_same_frame(bodies: Iterable[Bpa | _IntervalEntries]) -> None:
+    if len({b.frame for b in bodies}) > 1:
+        raise IvbelError("bodies must share one frame")
 
 
 @dataclass(frozen=True)
@@ -463,6 +456,22 @@ def _tighten_bounds(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
     return IntervalBeliefStructure(ibs.frame, tuple(entries))
 
 
+def normalization_steps(
+    ibs: IntervalBeliefStructure,
+) -> tuple[IntervalBeliefStructure, tuple[str, ...]]:
+    """:func:`normalize`, also returning the steps it took, in order:
+    ``"rescaled proportionally"`` and/or ``"tightened bounds"`` (none for
+    normalized input)."""
+    steps = []
+    if not validate_ibs(ibs):
+        ibs = _rescale_proportionally(ibs)
+        steps.append("rescaled proportionally")
+    if not is_normalized(ibs, tol=0.0):
+        ibs = _tighten_bounds(ibs)
+        steps.append("tightened bounds")
+    return ibs, tuple(steps)
+
+
 def normalize(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
     """Return an equivalent structure whose bounds are all attainable.
 
@@ -471,11 +480,7 @@ def normalize(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
     bound to its attainable extremum.  Normalized input is returned as is,
     so the operation is idempotent.
     """
-    if not validate_ibs(ibs):
-        ibs = _rescale_proportionally(ibs)
-    if is_normalized(ibs, tol=0.0):
-        return ibs
-    return _tighten_bounds(ibs)
+    return normalization_steps(ibs)[0]
 
 
 def degenerate_bpa(ibs: IntervalBeliefStructure) -> Bpa:

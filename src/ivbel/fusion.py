@@ -19,6 +19,7 @@ from .core import (
     IntervalMassResult,
     IvbelError,
     TotalConflictError,
+    _check_same_frame,
     is_normalized,
     normalize,
 )
@@ -61,12 +62,6 @@ class CombinationReport:
     intermediate_results: tuple[tuple[str, IntervalMassResult], ...] = ()
     normalization_applied: bool = False
     notes: tuple[str, ...] = ()
-
-
-def _check_same_frame(bodies: Sequence[Bpa] | Sequence[IntervalBeliefStructure]) -> None:
-    frames = {b.frame for b in bodies}
-    if len(frames) > 1:
-        raise IvbelError("bodies must share one frame")
 
 
 def _raw_products(b1: Bpa, b2: Bpa) -> tuple[dict[int, float], float]:

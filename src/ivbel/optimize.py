@@ -5,7 +5,8 @@ bounds over the feasible polytope are computed exactly:
 
 * ``beta = 1``: H is strictly concave, so the maximum is interior and found
   by water-filling (each mass is ``clamp(w_A * c, lo_A, hi_A)`` with
-  ``w_A = 2**k_A`` and a common level ``c`` found by bisection), while the
+  ``w_A = 2**k_A`` and a common level ``c`` solved exactly on the linear
+  segment between breakpoints where the clamped sum reaches one), while the
   minimum is attained at a vertex and found by scanning all vertices.
 * ``beta = 0``: H is linear; both extrema are reached by greedily assigning
   the residual mass above the lower bounds in weight order, splitting the
@@ -15,9 +16,8 @@ bounds over the feasible polytope are computed exactly:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import Bpa, IntervalBeliefStructure, IvbelError, is_normalized
 from .entropy import EntropyMeasure, entropy_from_profile, measure, separable_profile
@@ -30,17 +30,11 @@ __all__ = [
     "max_entropy_bpa",
     "min_entropy_bpa",
     "entropy_bounds",
-    "grid_oracle",
 ]
 
 # Vertices whose entropy is within this of the minimum count as tied; the
 # lexicographically first vertex is kept.
 MIN_TIE_TOL = 1e-10
-
-_C_LO = 1e-12
-_C_HI = 1e6
-_BISECT_ITERS = 200
-_BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,21 +54,16 @@ class EntropyBoundsSolution:
     min_tie_count: int = 1
 
 
-def _require_normalized(ibs: IntervalBeliefStructure) -> None:
-    if not is_normalized(ibs):
-        raise IvbelError(
-            "entropy bounds require a normalized structure; call normalize() first"
-        )
-
-
 def water_fill(
     lower: tuple[float, ...], upper: tuple[float, ...], weights: tuple[float, ...]
 ) -> tuple[tuple[float, ...], float]:
     """Solve ``m_i = clamp(w_i * c, lo_i, hi_i)`` with ``sum(m) = 1``.
 
-    Returns the mass vector and the level ``c``.  Requires
-    ``sum(lo) <= 1 <= sum(hi)``; the clamped sum is nondecreasing in ``c``,
-    so bisection converges.
+    Returns the mass vector and the level ``c``.  Requires positive weights
+    and ``sum(lo) <= 1 <= sum(hi)``.  The clamped sum is piecewise linear and
+    nondecreasing in ``c`` with breakpoints ``lo_i/w_i`` and ``hi_i/w_i``, so
+    ``c`` is solved exactly on the segment that ends at the first breakpoint
+    where the sum reaches one.
     """
     if math.fsum(lower) > 1.0 + 1e-9 or math.fsum(upper) < 1.0 - 1e-9:
         raise IvbelError("water filling requires sum(lo) <= 1 <= sum(hi)")
@@ -82,17 +71,15 @@ def water_fill(
     def clamped(c: float) -> list[float]:
         return [min(max(w * c, lo), hi) for lo, hi, w in zip(lower, upper, weights)]
 
-    a, b = _C_LO, _C_HI
-    c = a
-    for _ in range(_BISECT_ITERS):
-        c = 0.5 * (a + b)
-        s = math.fsum(clamped(c))
-        if abs(s - 1.0) < _BISECT_TOL:
-            break
-        if s < 1.0:
-            a = c
-        else:
-            b = c
+    points = sorted({x / w for lo, hi, w in zip(lower, upper, weights) for x in (lo, hi)})
+    k = bisect_left(points, True, key=lambda c: math.fsum(clamped(c)) >= 1.0)
+    if k == 0 or k == len(points):
+        c = points[min(k, len(points) - 1)]
+    else:
+        # The sum is linear between the two breakpoints around the crossing.
+        a, b = points[k - 1], points[k]
+        sa, sb = math.fsum(clamped(a)), math.fsum(clamped(b))
+        c = a + (b - a) * (1.0 - sa) / (sb - sa)
     return tuple(clamped(c)), c
 
 
@@ -128,39 +115,54 @@ def _greedy_linear(
     return tuple(m)
 
 
+def _prepare(
+    ibs: IntervalBeliefStructure, m: str | EntropyMeasure
+) -> tuple[EntropyMeasure, tuple[tuple[float, float], ...]]:
+    """The measure and its separable profile over a normalized structure."""
+    if not is_normalized(ibs):
+        raise IvbelError(
+            "entropy bounds require a normalized structure; call normalize() first"
+        )
+    meas = measure(m)
+    return meas, separable_profile(meas, ibs.focal_sets, ibs.frame)
+
+
+def _max_vec(
+    ibs: IntervalBeliefStructure,
+    meas: EntropyMeasure,
+    profile: tuple[tuple[float, float], ...],
+) -> tuple[float, ...]:
+    keys = tuple(k for k, _ in profile)
+    if meas.beta == 0.0:
+        return _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=True)
+    weights = tuple(2.0 ** k for k in keys)
+    return water_fill(ibs.lower_bounds, ibs.upper_bounds, weights)[0]
+
+
+def _min_vec(
+    ibs: IntervalBeliefStructure,
+    meas: EntropyMeasure,
+    profile: tuple[tuple[float, float], ...],
+) -> tuple[tuple[float, ...], int]:
+    """The minimizing mass vector and the number of vertices tied with it."""
+    if meas.beta == 0.0:
+        keys = tuple(k for k, _ in profile)
+        return _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=False), 1
+    vertices = enumerate_vertices(ibs)
+    values = [entropy_from_profile(vec, profile) for vec in vertices]
+    best = 0
+    for i, h in enumerate(values):
+        if h < values[best] - MIN_TIE_TOL:
+            best = i
+    ties = sum(1 for h in values if h <= values[best] + MIN_TIE_TOL)
+    return vertices[best], ties
+
+
 def max_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bpa:
     """The feasible BPA maximizing a separable measure.  Requires a
     normalized structure."""
-    _require_normalized(ibs)
-    meas = measure(m)
-    profile = separable_profile(meas, ibs.focal_sets, ibs.frame)
-    keys = tuple(k for k, _ in profile)
-    if meas.beta == 0.0:
-        masses = _greedy_linear(
-            ibs.lower_bounds, ibs.upper_bounds, keys, descending=True
-        )
-    else:
-        weights = tuple(2.0 ** k for k in keys)
-        masses, _ = water_fill(ibs.lower_bounds, ibs.upper_bounds, weights)
-    return Bpa(ibs.frame, tuple(zip(ibs.focal_sets, masses)))
-
-
-def _min_vertex(
-    ibs: IntervalBeliefStructure, profile: tuple[tuple[float, float], ...]
-) -> tuple[tuple[float, ...], float, int]:
-    vertices = enumerate_vertices(ibs)
-    best_vec = vertices[0]
-    best_h = entropy_from_profile(best_vec, profile)
-    for vec in vertices[1:]:
-        h = entropy_from_profile(vec, profile)
-        if h < best_h - MIN_TIE_TOL:
-            best_vec, best_h = vec, h
-    ties = sum(
-        1
-        for vec in vertices
-        if entropy_from_profile(vec, profile) <= best_h + MIN_TIE_TOL
-    )
-    return best_vec, best_h, ties
+    meas, profile = _prepare(ibs, m)
+    return Bpa(ibs.frame, tuple(zip(ibs.focal_sets, _max_vec(ibs, meas, profile))))
 
 
 def min_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bpa:
@@ -171,16 +173,8 @@ def min_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bp
     vertices tying within :data:`MIN_TIE_TOL` are resolved in favor of the
     lexicographically first mass vector.
     """
-    _require_normalized(ibs)
-    meas = measure(m)
-    profile = separable_profile(meas, ibs.focal_sets, ibs.frame)
-    if meas.beta == 0.0:
-        keys = tuple(k for k, _ in profile)
-        masses = _greedy_linear(
-            ibs.lower_bounds, ibs.upper_bounds, keys, descending=False
-        )
-    else:
-        masses, _, _ = _min_vertex(ibs, profile)
+    meas, profile = _prepare(ibs, m)
+    masses, _ = _min_vec(ibs, meas, profile)
     return Bpa(ibs.frame, tuple(zip(ibs.focal_sets, masses)))
 
 
@@ -188,20 +182,9 @@ def entropy_bounds(
     ibs: IntervalBeliefStructure, m: str | EntropyMeasure
 ) -> EntropyBoundsSolution:
     """Exact entropy bounds with witnesses for a separable measure."""
-    _require_normalized(ibs)
-    meas = measure(m)
-    profile = separable_profile(meas, ibs.focal_sets, ibs.frame)
-    keys = tuple(k for k, _ in profile)
-
-    if meas.beta == 0.0:
-        max_vec = _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=True)
-        min_vec = _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=False)
-        ties = 1
-    else:
-        weights = tuple(2.0 ** k for k in keys)
-        max_vec, _ = water_fill(ibs.lower_bounds, ibs.upper_bounds, weights)
-        min_vec, _, ties = _min_vertex(ibs, profile)
-
+    meas, profile = _prepare(ibs, m)
+    max_vec = _max_vec(ibs, meas, profile)
+    min_vec, ties = _min_vec(ibs, meas, profile)
     h_max = entropy_from_profile(max_vec, profile)
     h_min = entropy_from_profile(min_vec, profile)
     if h_min > h_max + 1e-9:
@@ -214,72 +197,3 @@ def entropy_bounds(
         h_min=min(h_min, h_max),
         min_tie_count=ties,
     )
-
-
-_GRID_MAX_SETS = 5
-_GRID_MAX_POINTS = 3_000_000
-
-
-def _lattice_points(
-    lower: tuple[float, ...], upper: tuple[float, ...], step: float
-) -> np.ndarray:
-    """Integer-lattice approximation of the feasible polytope.
-
-    Enumerates all mass vectors whose coordinates are multiples of ``step``
-    within the bounds and sum to one (up to rounding of ``1/step``).
-    """
-    units = round(1.0 / step)
-    los = [math.ceil(lo / step - 1e-9) for lo in lower]
-    his = [math.floor(hi / step + 1e-9) for hi in upper]
-    if any(l > h for l, h in zip(los, his)):
-        raise IvbelError("grid oracle: a bound interval contains no lattice point")
-
-    suffix_lo = [0] * (len(lower) + 1)
-    suffix_hi = [0] * (len(lower) + 1)
-    for i in range(len(lower) - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + los[i]
-        suffix_hi[i] = suffix_hi[i + 1] + his[i]
-
-    # Partial sums grow coordinate by coordinate; prune rows that can no
-    # longer reach the target total.
-    rows = np.zeros((1, 0), dtype=np.int64)
-    sums = np.zeros(1, dtype=np.int64)
-    for i in range(len(lower)):
-        values = np.arange(los[i], his[i] + 1, dtype=np.int64)
-        if rows.shape[0] * len(values) > _GRID_MAX_POINTS:
-            raise IvbelError("grid oracle: too many lattice points; coarsen the step")
-        new_rows = np.repeat(rows, len(values), axis=0)
-        new_vals = np.tile(values, rows.shape[0])
-        new_sums = np.repeat(sums, len(values)) + new_vals
-        ok = (new_sums + suffix_lo[i + 1] <= units) & (
-            new_sums + suffix_hi[i + 1] >= units
-        )
-        rows = np.column_stack([new_rows[ok], new_vals[ok]])
-        sums = new_sums[ok]
-        if rows.shape[0] == 0:
-            raise IvbelError("grid oracle: no lattice point sums to one")
-    return rows[sums == units] * step
-
-
-def grid_oracle(
-    ibs: IntervalBeliefStructure, m: str | EntropyMeasure, step: float = 0.005
-) -> tuple[float, float]:
-    """Brute-force entropy bounds over a lattice scan of the polytope.
-
-    Test oracle only: exact up to the lattice resolution, and limited to
-    structures with at most 5 focal sets.
-    """
-    if len(ibs.entries) > _GRID_MAX_SETS:
-        raise IvbelError(
-            f"grid oracle limited to {_GRID_MAX_SETS} focal sets, got {len(ibs.entries)}"
-        )
-    meas = measure(m)
-    profile = separable_profile(meas, ibs.focal_sets, ibs.frame)
-    points = _lattice_points(ibs.lower_bounds, ibs.upper_bounds, step)
-    ks = np.array([k for k, _ in profile])
-    betas = np.array([b for _, b in profile])
-    logs = np.zeros_like(points)
-    mask = points > 0.0
-    logs[mask] = points[mask] * np.log2(points[mask])
-    values = points @ ks - logs @ betas
-    return float(values.min()), float(values.max())

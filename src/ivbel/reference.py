@@ -22,12 +22,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    MASS_SUM_TOL,
     FocalSet,
     IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
     NormalizationError,
     TotalConflictError,
+    _check_same_frame,
     is_normalized,
     normalize,
 )
@@ -46,12 +48,6 @@ __all__ = [
     "song_combine_detail",
     "SongStages",
 ]
-
-
-def _check_same_frame(bodies: Sequence[IntervalBeliefStructure]) -> None:
-    frames = {b.frame for b in bodies}
-    if len(frames) > 1:
-        raise IvbelError("bodies must share one frame")
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +196,14 @@ def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
                 f"degenerate normalization for {raw.frame.format_set(fs)}"
             )
         new_lo = lo / denom_lo if lo > 0.0 else 0.0
-        new_hi = hi / denom_hi
-        entries.append((fs, min(new_lo, 1.0), min(new_hi, 1.0)))
+        new_hi = min(hi / denom_hi, 1.0)
+        if new_lo > new_hi + MASS_SUM_TOL:
+            raise NormalizationError(
+                f"cannot normalize interval for {raw.frame.format_set(fs)}: "
+                f"[{new_lo:.12g}, {new_hi:.12g}] is empty"
+            )
+        # Point-valued raw bounds can leave lo above hi by rounding.
+        entries.append((fs, min(new_lo, new_hi), new_hi))
     ibs = IntervalBeliefStructure(raw.frame, tuple(entries))
     return IntervalMassResult(
         raw.frame, tuple(entries), includes_empty=None, normalized=is_normalized(ibs)
@@ -263,7 +265,8 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
             continue
         feasible = True
         for t in targets:
-            value = masses.get(t, 0.0) / denom
+            # The ratio cannot exceed 1; rounding can push it one ulp over.
+            value = min(masses.get(t, 0.0) / denom, 1.0)
             if value < lows[t]:
                 lows[t] = value
             if value > highs[t]:

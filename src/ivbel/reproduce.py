@@ -32,7 +32,6 @@ __all__ = [
     "TargetReport",
     "TARGETS",
     "reproduce",
-    "manifest",
     "load_bundled",
 ]
 
@@ -479,7 +478,3 @@ def reproduce(target: str) -> TargetReport:
             f"unknown reproduce target {target!r}; expected one of {', '.join(TARGETS)}"
         ) from None
     return fn()
-
-
-def manifest(targets: tuple[str, ...] = TARGETS) -> list[TargetReport]:
-    return [reproduce(t) for t in targets]

@@ -1,16 +1,24 @@
-"""Seeded random generators shared by the unit and acceptance suites."""
+"""Seeded random generators and the lattice entropy oracle shared by the
+unit and acceptance suites."""
 
 from __future__ import annotations
 
+import math
 import random
+
+import numpy as np
 
 from ivbel import (
     Bpa,
+    EntropyMeasure,
     Frame,
     IntervalBeliefStructure,
+    IvbelError,
     enumerate_vertices,
+    measure,
     normalize,
 )
+from ivbel.entropy import separable_profile
 
 FRAME3 = Frame(("X", "Y", "Z"))
 
@@ -121,3 +129,72 @@ def random_point_in(
         sum(w * v[i] for w, v in zip(weights, vertices)) / total
         for i in range(len(ibs.entries))
     )
+
+
+_GRID_MAX_SETS = 5
+_GRID_MAX_POINTS = 3_000_000
+
+
+def _lattice_points(
+    lower: tuple[float, ...], upper: tuple[float, ...], step: float
+) -> np.ndarray:
+    """Integer-lattice approximation of the feasible polytope.
+
+    Enumerates all mass vectors whose coordinates are multiples of ``step``
+    within the bounds and sum to one (up to rounding of ``1/step``).
+    """
+    units = round(1.0 / step)
+    los = [math.ceil(lo / step - 1e-9) for lo in lower]
+    his = [math.floor(hi / step + 1e-9) for hi in upper]
+    if any(l > h for l, h in zip(los, his)):
+        raise IvbelError("grid oracle: a bound interval contains no lattice point")
+
+    suffix_lo = [0] * (len(lower) + 1)
+    suffix_hi = [0] * (len(lower) + 1)
+    for i in range(len(lower) - 1, -1, -1):
+        suffix_lo[i] = suffix_lo[i + 1] + los[i]
+        suffix_hi[i] = suffix_hi[i + 1] + his[i]
+
+    # Partial sums grow coordinate by coordinate; prune rows that can no
+    # longer reach the target total.
+    rows = np.zeros((1, 0), dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for i in range(len(lower)):
+        values = np.arange(los[i], his[i] + 1, dtype=np.int64)
+        if rows.shape[0] * len(values) > _GRID_MAX_POINTS:
+            raise IvbelError("grid oracle: too many lattice points; coarsen the step")
+        new_rows = np.repeat(rows, len(values), axis=0)
+        new_vals = np.tile(values, rows.shape[0])
+        new_sums = np.repeat(sums, len(values)) + new_vals
+        ok = (new_sums + suffix_lo[i + 1] <= units) & (
+            new_sums + suffix_hi[i + 1] >= units
+        )
+        rows = np.column_stack([new_rows[ok], new_vals[ok]])
+        sums = new_sums[ok]
+        if rows.shape[0] == 0:
+            raise IvbelError("grid oracle: no lattice point sums to one")
+    return rows[sums == units] * step
+
+
+def grid_oracle(
+    ibs: IntervalBeliefStructure, m: str | EntropyMeasure, step: float = 0.005
+) -> tuple[float, float]:
+    """Brute-force entropy bounds over a lattice scan of the polytope.
+
+    Test oracle only: exact up to the lattice resolution, and limited to
+    structures with at most 5 focal sets.
+    """
+    if len(ibs.entries) > _GRID_MAX_SETS:
+        raise IvbelError(
+            f"grid oracle limited to {_GRID_MAX_SETS} focal sets, got {len(ibs.entries)}"
+        )
+    meas = measure(m)
+    profile = separable_profile(meas, ibs.focal_sets, ibs.frame)
+    points = _lattice_points(ibs.lower_bounds, ibs.upper_bounds, step)
+    ks = np.array([k for k, _ in profile])
+    betas = np.array([b for _, b in profile])
+    logs = np.zeros_like(points)
+    mask = points > 0.0
+    logs[mask] = points[mask] * np.log2(points[mask])
+    values = points @ ks - logs @ betas
+    return float(values.min()), float(values.max())

@@ -34,11 +34,12 @@ from ivbel import (
     wang_combine,
 )
 from ivbel.entropy import separable_profile
-from ivbel.optimize import grid_oracle, water_fill
+from ivbel.optimize import water_fill
 from ivbel.reproduce import TARGETS, load_bundled, reproduce
 
 from helpers import (
     FRAME3,
+    grid_oracle,
     random_aligned_general_ibs,
     random_bpa,
     random_normalized_ibs,

@@ -123,6 +123,22 @@ class TestNormalize:
         assert "m1: tightened bounds" in out
         assert "0.5000" in out and "tolerances:" in out
 
+    def test_table_names_both_steps_in_order(self, capsys, tmp_path):
+        # Upper bounds sum below one: rescaling lifts A's upper bound to 1,
+        # and tightening then raises its lower bound to match.
+        data = {
+            "format": 1,
+            "frame": ["A", "B"],
+            "bodies": [{"name": "m1", "masses": [{"set": ["A"], "lo": 0.0, "hi": 0.3},
+                                                 {"set": ["B"], "lo": 0.0, "hi": 0.0}]}],
+        }
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc, out, _ = run(capsys, "normalize", str(path))
+        assert rc == 0
+        assert "m1: rescaled proportionally; tightened bounds" in out
+        assert "1.0000" in out
+
     def test_already_normalized_passthrough(self, capsys):
         rc, out, _ = run(capsys, "normalize", bundled("example5"))
         assert rc == 0
@@ -249,6 +265,16 @@ class TestCombine:
         assert rc == 0
         assert "mass on the empty set before renormalization" in out
 
+    @pytest.mark.parametrize("name", ["example31", "example33"])
+    def test_denoeux_on_point_valued_bodies(self, capsys, name):
+        # Point-valued raw bounds once normalized to lo above hi by one ulp.
+        rc, out, err = run(
+            capsys, "combine", bundled(name), "--method", "denoeux", "--format", "json"
+        )
+        assert rc == 0, err
+        result, _ = result_from_json(json.loads(out))
+        assert all(lo <= hi for _, lo, hi in result.entries)
+
     def test_song_reports_pignistic_stage(self, capsys):
         rc, out, _ = run(capsys, "combine", bundled("example5"), "--method", "song")
         assert rc == 0
@@ -313,6 +339,12 @@ class TestCompare:
         assert rc == 0
         assert "denoeux" not in out.splitlines()[0]
         assert "denoeux column omitted" in out
+
+    @pytest.mark.parametrize("name", ["example31", "example33"])
+    def test_point_valued_files(self, capsys, name):
+        rc, out, err = run(capsys, "compare", bundled(name))
+        assert rc == 0, err
+        assert "denoeux" in out.splitlines()[0]
 
     def test_json(self, capsys):
         rc, out, _ = run(capsys, "compare", bundled("example5"), "--format", "json")

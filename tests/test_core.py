@@ -2,11 +2,15 @@
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivbel
 from ivbel import (
     EMPTY_SET,
     Bpa,
@@ -26,7 +30,7 @@ from ivbel import (
     plausibility_transform,
     validate_ibs,
 )
-from ivbel.core import _rescale_proportionally, _tighten_bounds
+from ivbel.core import _rescale_proportionally, _tighten_bounds, normalization_steps
 
 from helpers import FRAME3, random_bpa, random_valid_ibs
 
@@ -242,6 +246,24 @@ class TestNormalization:
         assert validate_ibs(out).ok
         assert is_normalized(out)
 
+    @pytest.mark.parametrize(
+        "bounds, steps",
+        [
+            ({("A",): (0.2, 0.4), ("B",): (0.6, 0.8)}, ()),
+            ({("A",): (0.1, 0.9), ("B",): (0.05, 0.5), ("C",): (0.0, 0.3)}, ("tightened bounds",)),
+            ({("A",): (0.7, 0.8), ("B",): (0.6, 0.7), ("C",): (0.1, 0.2)}, ("rescaled proportionally",)),
+            (
+                {("A",): (0.0, 0.3), ("B",): (0.0, 0.0)},
+                ("rescaled proportionally", "tightened bounds"),
+            ),
+        ],
+    )
+    def test_normalization_steps_report_normalize(self, bounds, steps):
+        ibs = IntervalBeliefStructure.from_mapping(FRAME, bounds)
+        out, taken = normalization_steps(ibs)
+        assert taken == steps
+        assert out == normalize(ibs)
+
     def test_normalize_rejects_empty_intervals(self):
         bad = IntervalBeliefStructure.from_mapping(
             FRAME, {("A",): (0.0, 0.0), ("B",): (0.0, 0.0)}
@@ -286,3 +308,13 @@ class TestNormalization:
         rng = random.Random(seed)
         b = random_bpa(rng)
         assert degenerate_bpa(from_bpa(b)).entries == b.entries
+
+
+def test_import_does_not_load_numpy():
+    """numpy is a test dependency only; the package must import without it."""
+    src = Path(ivbel.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c", "import ivbel, sys; assert 'numpy' not in sys.modules"],
+        check=True,
+        env={"PYTHONPATH": str(src)},
+    )

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,13 @@ from ivbel import (
     normalize,
 )
 from ivbel.entropy import entropy_from_profile, separable_profile
-from ivbel.optimize import grid_oracle, water_fill
+from ivbel.optimize import water_fill
 from ivbel.polytope import enumerate_vertices
+from ivbel.reproduce import load_bundled
 
 from helpers import (
     FRAME3,
+    grid_oracle,
     random_aligned_ibs,
     random_normalized_ibs,
     random_point_in,
@@ -51,6 +54,17 @@ class TestWaterFill:
         # Cap the heavy coordinate; the rest goes to the other one.
         masses, _ = water_fill((0.0, 0.0), (1.0, 0.5), (1.0, 3.0))
         assert masses == pytest.approx((0.5, 0.5), abs=1e-9)
+
+    def test_exact_on_bundled_example5(self):
+        # Shannon weights are all 1, so the free masses share one exact level.
+        exact = {
+            "m1": (Fraction(7, 30), Fraction(3, 10), Fraction(7, 30), Fraction(7, 30)),
+            "m2": (Fraction(3, 10), Fraction(1, 5), Fraction(1, 4), Fraction(1, 4)),
+        }
+        for name, body in load_bundled("example5").bodies:
+            masses = max_entropy_bpa(normalize(body), "nguyen")
+            for (_, m), want in zip(masses.entries, exact[name]):
+                assert abs(Fraction(m) - want) <= 1e-15
 
     def test_infeasible_rejected(self):
         with pytest.raises(IvbelError, match="water filling requires"):

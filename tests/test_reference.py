@@ -246,6 +246,16 @@ class TestWang:
             for fs, lo, hi in out.entries:
                 assert lo - 1e-7 <= combined.mass(fs) <= hi + 1e-7
 
+    def test_ratio_rounding_above_one_is_clamped(self):
+        # {a,b} can take all the mass in both bodies; the Dempster ratio for
+        # it once rounded to 1 + 1 ulp and failed the interval check.
+        frame = Frame(("a", "b", "c"))
+        body = IntervalBeliefStructure.from_mapping(
+            frame, {("a", "b"): (0.32, 1.0), ("c",): (0.0, 0.68), ("a", "b", "c"): (0.0, 0.56)}
+        )
+        out = wang_combine((body, body))
+        assert out.interval(frame.subset(("a", "b")))[1] == 1.0
+
     def test_three_body_join_is_not_a_fold(self):
         # Joint bounds over vertex triples can be strictly tighter than
         # folding two-body joins, which loses the coupling; just check the
