@@ -26,6 +26,7 @@ from .core import (
     MASS_SUM_TOL,
     Bpa,
     FocalSet,
+    IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
     degenerate_bpa,
@@ -77,14 +78,15 @@ def _describe_steps(steps: tuple[str, ...]) -> str:
     return "; ".join(steps) or "already normalized"
 
 
+def _interval_cells(body: IntervalBeliefStructure) -> str:
+    frame = body.frame
+    return ", ".join(f"{frame.format_set(fs)} [{lo:.4f}, {hi:.4f}]" for fs, lo, hi in body)
+
+
 def _echo_inputs(ev: EvidenceFile) -> list[str]:
     frame = ev.frame
     lines = [f"frame: {frame.format_set(frame.full_set)} ({len(ev.bodies)} bodies)"]
-    for name, body in ev.bodies:
-        cells = ", ".join(
-            f"{frame.format_set(fs)} [{lo:.4f}, {hi:.4f}]" for fs, lo, hi in body.entries
-        )
-        lines.append(f"  {name}: {cells}")
+    lines.extend(f"  {name}: {_interval_cells(body)}" for name, body in ev.bodies)
     return lines
 
 
@@ -204,36 +206,33 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _combine_dispatch(
-    args: argparse.Namespace, ev: EvidenceFile
+def _method_label(method: str, *, measure: str = "pal", w: float = 2.0) -> str:
+    if method == "proposed":
+        return f"proposed[{measure}]"
+    if method == "leezhu":
+        return f"leezhu[w={w:g}]"
+    return method
+
+
+def _run_engine(
+    method: str,
+    names: list[str],
+    bodies: list[IntervalBeliefStructure],
+    *,
+    measure: str = "pal",
+    w: float = 2.0,
 ) -> tuple[IntervalMassResult, list[str]]:
-    """Run the chosen engine; returns (result, table-mode detail lines)."""
-    frame = ev.frame
-    names = [name for name, _ in ev.bodies]
-    raw_bodies = [body for _, body in ev.bodies]
+    """Run one engine on the bodies as given; returns (result, table-mode
+    detail lines)."""
     details: list[str] = []
 
-    if args.method == "leezhu":
-        # This engine is defined on the structures as given; the bundled
-        # reference rows only reproduce without prior normalization.
-        if len(raw_bodies) != 2:
+    if method == "leezhu":
+        if len(bodies) != 2:
             raise IvbelError("leezhu combines exactly two bodies")
-        if args.normalize_inputs:
-            details.append("inputs passed through unchanged (engine convention)")
-        result = leezhu_combine(raw_bodies[0], raw_bodies[1], LeeZhuParams(w=args.w))
-        return result, details
+        return leezhu_combine(bodies[0], bodies[1], LeeZhuParams(w=w)), details
 
-    if args.normalize_inputs:
-        bodies = []
-        for name, body in zip(names, raw_bodies):
-            body, steps = normalization_steps(body)
-            details.append(f"normalization {name}: {_describe_steps(steps)}")
-            bodies.append(body)
-    else:
-        bodies = raw_bodies
-
-    if args.method == "proposed":
-        rep = proposed_combine_report(bodies, args.measure)
+    if method == "proposed":
+        rep = proposed_combine_report(bodies, measure)
         for label, bpa in rep.intermediate_bpas:
             details.append(f"{label}: {_bpa_cells(bpa)}")
         for label, diag in zip(("fold.max", "fold.min"), rep.diagnostics):
@@ -243,10 +242,10 @@ def _combine_dispatch(
             details.append("note: output bounds tightened to the normalized form")
         return rep.result, details
 
-    if args.method == "wang":
+    if method == "wang":
         return wang_combine(bodies), details
 
-    if args.method == "denoeux":
+    if method == "denoeux":
         if len(bodies) != 2:
             raise IvbelError("denoeux combines exactly two bodies")
         raw = denoeux_combine(bodies[0], bodies[1])
@@ -256,17 +255,13 @@ def _combine_dispatch(
                            f" [{e_lo:.4f}, {e_hi:.4f}]")
         return denoeux_normalize(raw), details
 
-    if args.method == "song":
+    if method == "song":
         det = song_combine_detail(bodies)
         for name, body in zip(names, det.pignistic_bodies):
-            cells = ", ".join(
-                f"{frame.format_set(fs)} [{lo:.4f}, {hi:.4f}]"
-                for fs, lo, hi in body.entries
-            )
-            details.append(f"pignistic {name}: {cells}")
+            details.append(f"pignistic {name}: {_interval_cells(body)}")
         return det.result, details
 
-    if args.method == "dempster":
+    if method == "dempster":
         for name, body in zip(names, bodies):
             if not body.is_degenerate(tol=MASS_SUM_TOL):
                 raise IvbelError(
@@ -276,12 +271,9 @@ def _combine_dispatch(
         combined, diag = dempster_combine_n([degenerate_bpa(b) for b in bodies])
         details.append(f"cumulative conflict: K = {diag.conflict_mass:.4f}")
         entries = tuple((fs, m, m) for fs, m in combined.entries)
-        result = IntervalMassResult(
-            frame, entries, includes_empty=None, normalized=True
-        )
-        return result, details
+        return IntervalMassResult(bodies[0].frame, entries, normalized=True), details
 
-    raise IvbelError(f"unknown method {args.method!r}")
+    raise IvbelError(f"unknown method {method!r}")
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
@@ -289,21 +281,29 @@ def cmd_combine(args: argparse.Namespace) -> int:
         return _fail("--measure only applies to --method proposed")
     if args.w is not None and args.method != "leezhu":
         return _fail("--w only applies to --method leezhu")
-    if args.measure is None:
-        args.measure = "pal"
-    if args.w is None:
-        args.w = 2.0
+    measure = "pal" if args.measure is None else args.measure
+    w = 2.0 if args.w is None else args.w
 
     ev = load_evidence(args.file)
     if len(ev.bodies) < 2:
         return _fail("no evidence: need at least two bodies to combine")
-    result, details = _combine_dispatch(args, ev)
-
-    method_label = (
-        f"proposed[{args.measure}]" if args.method == "proposed"
-        else f"leezhu[w={args.w:g}]" if args.method == "leezhu"
-        else args.method
+    names = [name for name, _ in ev.bodies]
+    bodies = [body for _, body in ev.bodies]
+    details: list[str] = []
+    if args.normalize_inputs and args.method == "leezhu":
+        # This engine is defined on the structures as given; the bundled
+        # reference rows only reproduce without prior normalization.
+        details.append("inputs passed through unchanged (engine convention)")
+    elif args.normalize_inputs:
+        for i, name in enumerate(names):
+            bodies[i], steps = normalization_steps(bodies[i])
+            details.append(f"normalization {name}: {_describe_steps(steps)}")
+    result, engine_details = _run_engine(
+        args.method, names, bodies, measure=measure, w=w
     )
+    details.extend(engine_details)
+
+    method_label = _method_label(args.method, measure=measure, w=w)
     if args.format == "json":
         _print_json(result_to_json(result, method=method_label))
     elif args.format == "csv":
@@ -328,20 +328,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(ev.bodies) < 2:
         return _fail("no evidence: need at least two bodies to compare")
     frame = ev.frame
+    names = [name for name, _ in ev.bodies]
     bodies = [normalize(body) for _, body in ev.bodies]
 
-    columns: list[tuple[str, IntervalMassResult]] = []
+    methods = ["denoeux", "wang", "song", "proposed"]
     notes: list[str] = []
-    if len(bodies) == 2:
-        columns.append(
-            ("denoeux", denoeux_normalize(denoeux_combine(bodies[0], bodies[1])))
-        )
-    else:
+    if len(bodies) != 2:
+        methods.remove("denoeux")
         notes.append("denoeux column omitted: that engine combines exactly two bodies")
-    columns.append(("wang", wang_combine(bodies)))
-    columns.append(("song", song_combine_detail(bodies).result))
-    rep = proposed_combine_report(bodies, args.measure)
-    columns.append((f"proposed[{args.measure}]", rep.result))
+    columns = [
+        (
+            _method_label(m, measure=args.measure),
+            _run_engine(m, names, bodies, measure=args.measure)[0],
+        )
+        for m in methods
+    ]
 
     if args.format == "json":
         _print_json(

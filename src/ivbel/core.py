@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "MASS_SUM_TOL",
@@ -387,7 +387,7 @@ def validate_ibs(ibs: IntervalBeliefStructure) -> ValidityVerdict:
     return ValidityVerdict(True)
 
 
-def is_normalized(ibs: IntervalBeliefStructure, tol: float = MASS_SUM_TOL) -> bool:
+def is_normalized(ibs: IntervalBeliefStructure) -> bool:
     """Check that every bound is attainable by some BPA within the bounds.
 
     For each entry ``k`` the two tightness conditions must hold:
@@ -399,11 +399,34 @@ def is_normalized(ibs: IntervalBeliefStructure, tol: float = MASS_SUM_TOL) -> bo
     sum_hi = math.fsum(ibs.upper_bounds)
     for _, lo, hi in ibs.entries:
         width = hi - lo
-        if sum_hi - width < 1.0 - tol:
+        if sum_hi - width < 1.0 - MASS_SUM_TOL:
             return False
-        if sum_lo + width > 1.0 + tol:
+        if sum_lo + width > 1.0 + MASS_SUM_TOL:
             return False
     return True
+
+
+def _check_bodies(bodies: Sequence[IntervalBeliefStructure], *, normalized: bool) -> None:
+    """The precondition every combination engine shares: two or more bodies
+    on one frame, each normalized when the engine requires it."""
+    if len(bodies) < 2:
+        raise IvbelError("no evidence: need at least two bodies to combine")
+    _check_same_frame(bodies)
+    if normalized:
+        for idx, body in enumerate(bodies, start=1):
+            if not is_normalized(body):
+                raise IvbelError(
+                    f"body {idx} is not normalized; normalize inputs before combining"
+                )
+
+
+def _mass_result(
+    frame: Frame, entries: Iterable[tuple[FocalSet, float, float]]
+) -> IntervalMassResult:
+    """A combination result on non-empty focal sets, flagged by
+    :func:`is_normalized`."""
+    ibs = IntervalBeliefStructure(frame, tuple(entries))
+    return IntervalMassResult(frame, ibs.entries, normalized=is_normalized(ibs))
 
 
 def _rescale_proportionally(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
@@ -466,7 +489,7 @@ def normalization_steps(
     if not validate_ibs(ibs):
         ibs = _rescale_proportionally(ibs)
         steps.append("rescaled proportionally")
-    if not is_normalized(ibs, tol=0.0):
+    if not is_normalized(ibs):
         ibs = _tighten_bounds(ibs)
         steps.append("tightened bounds")
     return ibs, tuple(steps)

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .core import (
+    FocalSet,
     Frame,
     IntervalBeliefStructure,
     IntervalMassResult,
@@ -84,10 +85,10 @@ def _as_number(value: Any, where: str) -> float:
     return float(value)
 
 
-def parse_evidence(data: Any) -> EvidenceFile:
-    """Validate decoded JSON against the evidence schema."""
+def _parse_header(data: Any, items_key: str, optional: set[str]) -> Frame:
+    """Check the top-level object, its format version and its frame."""
     _require(isinstance(data, dict), "$", "top level must be an object")
-    _check_keys(data, "$", {"format", "frame", "bodies"}, set())
+    _check_keys(data, "$", {"format", "frame", items_key}, optional)
     _require(
         data["format"] == FORMAT_VERSION,
         "$.format",
@@ -105,10 +106,59 @@ def parse_evidence(data: Any) -> EvidenceFile:
             f"labels must be non-empty strings, got {label!r}",
         )
     try:
-        frame = Frame(tuple(raw_frame))
+        return Frame(tuple(raw_frame))
     except IvbelError as exc:
         raise SchemaError(f"$.frame: {exc}") from None
 
+
+def _parse_intervals(
+    frame: Frame, items: list, where: str, bound_keys: set[str]
+) -> tuple[tuple[FocalSet, float, float], ...]:
+    """Check a list of mass items: a ``"set"`` and either ``"lo"``/``"hi"``
+    or, where ``bound_keys`` allows it, a point ``"mass"``."""
+    entries = []
+    seen_bits: set[int] = set()
+    for mi, item in enumerate(items):
+        iwhere = f"{where}[{mi}]"
+        _require(isinstance(item, dict), iwhere, "must be an object")
+        _check_keys(item, iwhere, {"set"}, bound_keys)
+        raw_set = item["set"]
+        _require(
+            isinstance(raw_set, list) and raw_set,
+            f"{iwhere}.set",
+            "must be a non-empty list of labels",
+        )
+        try:
+            fs = frame.subset(raw_set)
+        except IvbelError as exc:
+            raise SchemaError(f"{iwhere}.set: {exc}") from None
+        _require(
+            fs.bits not in seen_bits,
+            f"{iwhere}.set",
+            f"duplicate focal set {frame.format_set(fs)}",
+        )
+        seen_bits.add(fs.bits)
+
+        if "mass" in item:
+            _require(
+                "lo" not in item and "hi" not in item,
+                iwhere,
+                "give either 'mass' or 'lo'/'hi', not both",
+            )
+            value = _as_number(item["mass"], f"{iwhere}.mass")
+            lo = hi = value
+        else:
+            _require("lo" in item and "hi" in item, iwhere, "need both 'lo' and 'hi'")
+            lo = _as_number(item["lo"], f"{iwhere}.lo")
+            hi = _as_number(item["hi"], f"{iwhere}.hi")
+            _require(lo <= hi, iwhere, f"lo {lo!r} exceeds hi {hi!r}")
+        entries.append((fs, lo, hi))
+    return tuple(entries)
+
+
+def parse_evidence(data: Any) -> EvidenceFile:
+    """Validate decoded JSON against the evidence schema."""
+    frame = _parse_header(data, "bodies", set())
     raw_bodies = data["bodies"]
     _require(isinstance(raw_bodies, list), "$.bodies", "must be a list")
     _require(bool(raw_bodies), "$.bodies", "no evidence: at least one body required")
@@ -132,45 +182,9 @@ def parse_evidence(data: Any) -> EvidenceFile:
             f"{where}.masses",
             "must be a non-empty list",
         )
-        entries = []
-        seen_bits: set[int] = set()
-        for mi, item in enumerate(raw_masses):
-            iwhere = f"{where}.masses[{mi}]"
-            _require(isinstance(item, dict), iwhere, "must be an object")
-            _check_keys(item, iwhere, {"set"}, {"mass", "lo", "hi"})
-            raw_set = item["set"]
-            _require(
-                isinstance(raw_set, list) and raw_set,
-                f"{iwhere}.set",
-                "must be a non-empty list of labels",
-            )
-            try:
-                fs = frame.subset(raw_set)
-            except IvbelError as exc:
-                raise SchemaError(f"{iwhere}.set: {exc}") from None
-            _require(
-                fs.bits not in seen_bits,
-                f"{iwhere}.set",
-                f"duplicate focal set {frame.format_set(fs)}",
-            )
-            seen_bits.add(fs.bits)
-
-            if "mass" in item:
-                _require(
-                    "lo" not in item and "hi" not in item,
-                    iwhere,
-                    "give either 'mass' or 'lo'/'hi', not both",
-                )
-                value = _as_number(item["mass"], f"{iwhere}.mass")
-                lo = hi = value
-            else:
-                _require("lo" in item and "hi" in item, iwhere, "need both 'lo' and 'hi'")
-                lo = _as_number(item["lo"], f"{iwhere}.lo")
-                hi = _as_number(item["hi"], f"{iwhere}.hi")
-                _require(lo <= hi, iwhere, f"lo {lo!r} exceeds hi {hi!r}")
-            entries.append((fs, lo, hi))
+        entries = _parse_intervals(frame, raw_masses, f"{where}.masses", {"mass", "lo", "hi"})
         try:
-            bodies.append((name, IntervalBeliefStructure(frame, tuple(entries))))
+            bodies.append((name, IntervalBeliefStructure(frame, entries)))
         except IvbelError as exc:
             raise SchemaError(f"{where}: {exc}") from None
     return EvidenceFile(frame, tuple(bodies))
@@ -223,27 +237,9 @@ def result_to_json(result: IntervalMassResult, method: str | None = None) -> dic
 
 def result_from_json(data: Any) -> tuple[IntervalMassResult, str | None]:
     """Decode a result produced by :func:`result_to_json`."""
-    _require(isinstance(data, dict), "$", "top level must be an object")
-    _check_keys(data, "$", {"format", "frame", "entries"}, {"empty", "normalized", "method"})
-    _require(
-        data["format"] == FORMAT_VERSION,
-        "$.format",
-        f"unsupported format {data['format']!r}, expected {FORMAT_VERSION}",
-    )
-    try:
-        frame = Frame(tuple(data["frame"]))
-    except (IvbelError, TypeError) as exc:
-        raise SchemaError(f"$.frame: {exc}") from None
-    entries = []
-    for i, item in enumerate(data["entries"]):
-        where = f"$.entries[{i}]"
-        _require(isinstance(item, dict), where, "must be an object")
-        _check_keys(item, where, {"set", "lo", "hi"}, set())
-        try:
-            fs = frame.subset(item["set"])
-        except IvbelError as exc:
-            raise SchemaError(f"{where}.set: {exc}") from None
-        entries.append((fs, _as_number(item["lo"], f"{where}.lo"), _as_number(item["hi"], f"{where}.hi")))
+    frame = _parse_header(data, "entries", {"empty", "normalized", "method"})
+    _require(isinstance(data["entries"], list), "$.entries", "must be a list")
+    entries = _parse_intervals(frame, data["entries"], "$.entries", {"lo", "hi"})
     empty = data.get("empty")
     if empty is not None:
         _require(
@@ -254,7 +250,7 @@ def result_from_json(data: Any) -> tuple[IntervalMassResult, str | None]:
         empty = (_as_number(empty[0], "$.empty[0]"), _as_number(empty[1], "$.empty[1]"))
     result = IntervalMassResult(
         frame,
-        tuple(entries),
+        entries,
         includes_empty=empty,
         normalized=bool(data.get("normalized", False)),
     )

@@ -10,7 +10,7 @@ interval spanned by its two folded masses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Bpa,
@@ -19,8 +19,9 @@ from .core import (
     IntervalMassResult,
     IvbelError,
     TotalConflictError,
+    _check_bodies,
     _check_same_frame,
-    is_normalized,
+    _mass_result,
     normalize,
 )
 from .entropy import EntropyMeasure, measure
@@ -64,18 +65,29 @@ class CombinationReport:
     notes: tuple[str, ...] = ()
 
 
+def _products(
+    xs: Iterable[tuple[int, float]], ys: Sequence[tuple[int, float]]
+) -> dict[int, float]:
+    """Sums of mass products per intersection of two ``(bits, mass)``
+    sequences; key 0 holds the conflict mass.  Zero masses are skipped."""
+    out: dict[int, float] = {}
+    for b1, m1 in xs:
+        if m1 == 0.0:
+            continue
+        for b2, m2 in ys:
+            if m2 == 0.0:
+                continue
+            inter = b1 & b2
+            out[inter] = out.get(inter, 0.0) + m1 * m2
+    return out
+
+
 def _raw_products(b1: Bpa, b2: Bpa) -> tuple[dict[int, float], float]:
     """Unnormalized intersection products and the conflict mass."""
-    raw: dict[int, float] = {}
-    conflict = 0.0
-    for f1, m1 in b1.entries:
-        for f2, m2 in b2.entries:
-            inter = f1.bits & f2.bits
-            if inter == 0:
-                conflict += m1 * m2
-            else:
-                raw[inter] = raw.get(inter, 0.0) + m1 * m2
-    return raw, conflict
+    raw = _products(
+        [(fs.bits, m) for fs, m in b1.entries], [(fs.bits, m) for fs, m in b2.entries]
+    )
+    return raw, raw.pop(0, 0.0)
 
 
 def dempster_conflict(b1: Bpa, b2: Bpa) -> DempsterDiagnostics:
@@ -132,19 +144,13 @@ def proposed_combine_report(
 ) -> CombinationReport:
     """Like :func:`proposed_combine`, returning the full audit trail:
     per-body extremal BPAs, fold conflicts, and normalization actions."""
-    if len(bodies) < 2:
-        raise IvbelError("no evidence: need at least two bodies to combine")
-    _check_same_frame(bodies)
+    _check_bodies(bodies, normalized=True)
     meas = measure(m)
     notes: list[str] = []
     intermediates: list[tuple[str, Bpa]] = []
     maxes: list[Bpa] = []
     mins: list[Bpa] = []
     for idx, body in enumerate(bodies, start=1):
-        if not is_normalized(body):
-            raise IvbelError(
-                f"body {idx} is not normalized; normalize inputs before combining"
-            )
         sol = entropy_bounds(body, meas)
         maxes.append(sol.m_max)
         mins.append(sol.m_min)
@@ -175,19 +181,12 @@ def proposed_combine_report(
         v2 = folded_min.mass(fs)
         entries.append((fs, min(v1, v2), max(v1, v2)))
 
-    result_ibs = IntervalBeliefStructure(frame, tuple(entries))
-    renormalized = False
-    if not is_normalized(result_ibs):
-        result_ibs = normalize(result_ibs)
-        renormalized = True
+    result = _mass_result(frame, entries)
+    renormalized = not result.normalized
+    if renormalized:
+        result = _mass_result(frame, normalize(result.as_ibs()).entries)
         notes.append("result bounds were not tight; normalized after combination")
 
-    result = IntervalMassResult(
-        frame,
-        result_ibs.entries,
-        includes_empty=None,
-        normalized=is_normalized(result_ibs),
-    )
     return CombinationReport(
         method=f"proposed[{meas.id}]",
         result=result,

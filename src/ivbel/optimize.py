@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import Bpa, IntervalBeliefStructure, IvbelError, is_normalized
+from .core import MASS_SUM_TOL, Bpa, IntervalBeliefStructure, IvbelError, is_normalized
 from .entropy import EntropyMeasure, entropy_from_profile, measure, separable_profile
 from .polytope import enumerate_vertices
 
@@ -35,6 +35,14 @@ __all__ = [
 # Vertices whose entropy is within this of the minimum count as tied; the
 # lexicographically first vertex is kept.
 MIN_TIE_TOL = 1e-10
+# _greedy_linear: keys within _KEY_TIE_TOL form one group, and a residual or
+# headroom below _FILL_EPS counts as spent.  Neither is MASS_DROP_EPS: the
+# first compares objective keys, not masses, and the second must stay near
+# machine precision so linear-measure witnesses are exact to about 1e-16.
+_KEY_TIE_TOL = 1e-12
+_FILL_EPS = 1e-15
+# A minimum above the maximum by more than this is a solver defect.
+_INVERSION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ def water_fill(
     ``c`` is solved exactly on the segment that ends at the first breakpoint
     where the sum reaches one.
     """
-    if math.fsum(lower) > 1.0 + 1e-9 or math.fsum(upper) < 1.0 - 1e-9:
+    if math.fsum(lower) > 1.0 + MASS_SUM_TOL or math.fsum(upper) < 1.0 - MASS_SUM_TOL:
         raise IvbelError("water filling requires sum(lo) <= 1 <= sum(hi)")
 
     def clamped(c: float) -> list[float]:
@@ -98,13 +106,13 @@ def _greedy_linear(
     order = sorted(range(n), key=lambda i: keys[i], reverse=descending)
     groups: list[list[int]] = []
     for i in order:
-        if groups and abs(keys[groups[-1][0]] - keys[i]) <= 1e-12:
+        if groups and abs(keys[groups[-1][0]] - keys[i]) <= _KEY_TIE_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
     for group in groups:
-        while residual > 1e-15:
-            active = [i for i in group if m[i] < upper[i] - 1e-15]
+        while residual > _FILL_EPS:
+            active = [i for i in group if m[i] < upper[i] - _FILL_EPS]
             if not active:
                 break
             share = residual / len(active)
@@ -187,7 +195,7 @@ def entropy_bounds(
     min_vec, ties = _min_vec(ibs, meas, profile)
     h_max = entropy_from_profile(max_vec, profile)
     h_min = entropy_from_profile(min_vec, profile)
-    if h_min > h_max + 1e-9:
+    if h_min > h_max + _INVERSION_TOL:
         raise AssertionError(f"entropy bounds inverted: {h_min} > {h_max}")
     return EntropyBoundsSolution(
         measure_id=meas.id,

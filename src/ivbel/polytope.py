@@ -13,14 +13,13 @@ import itertools
 import math
 from typing import Sequence
 
-from .core import IntervalBeliefStructure, IvbelError
+from .core import MASS_SUM_TOL, IntervalBeliefStructure, IvbelError
 
-__all__ = ["MAX_VERTEX_DIM", "FEASIBILITY_TOL", "enumerate_vertices", "contains"]
+__all__ = ["MAX_VERTEX_DIM", "enumerate_vertices", "contains"]
 
 # Refuse enumeration above this many focal sets; the candidate count grows as
 # n * 2**(n-1) + 2**n.
 MAX_VERTEX_DIM = 24
-FEASIBILITY_TOL = 1e-9
 _DEDUPE_DECIMALS = 12
 
 
@@ -48,7 +47,7 @@ def enumerate_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...],
     # Every coordinate at a bound.
     for pattern in itertools.product((0, 1), repeat=n):
         vec = tuple(hi[i] if pattern[i] else lo[i] for i in range(n))
-        if abs(math.fsum(vec) - 1.0) <= FEASIBILITY_TOL:
+        if abs(math.fsum(vec) - 1.0) <= MASS_SUM_TOL:
             keep(vec)
 
     # One free coordinate absorbing the residual.
@@ -57,7 +56,7 @@ def enumerate_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...],
         for pattern in itertools.product((0, 1), repeat=n - 1):
             fixed = [hi[others[j]] if pattern[j] else lo[others[j]] for j in range(n - 1)]
             residual = 1.0 - math.fsum(fixed)
-            if lo[free] - FEASIBILITY_TOL <= residual <= hi[free] + FEASIBILITY_TOL:
+            if lo[free] - MASS_SUM_TOL <= residual <= hi[free] + MASS_SUM_TOL:
                 value = min(max(residual, lo[free]), hi[free])
                 vec = list(ibs.lower_bounds)
                 for j, i in enumerate(others):
@@ -73,7 +72,7 @@ def enumerate_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...],
 def contains(
     ibs: IntervalBeliefStructure,
     masses: Sequence[float],
-    tol: float = FEASIBILITY_TOL,
+    tol: float = MASS_SUM_TOL,
 ) -> bool:
     """Whether a mass vector (aligned with ``ibs.entries``) is feasible."""
     if len(masses) != len(ibs.entries):

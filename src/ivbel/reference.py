@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    MASS_DROP_EPS,
     MASS_SUM_TOL,
     FocalSet,
     IntervalBeliefStructure,
@@ -29,10 +30,11 @@ from .core import (
     IvbelError,
     NormalizationError,
     TotalConflictError,
-    _check_same_frame,
-    is_normalized,
+    _check_bodies,
+    _mass_result,
     normalize,
 )
+from .fusion import COMBINABLE_TOL, _products
 from .polytope import enumerate_vertices
 
 __all__ = [
@@ -95,7 +97,7 @@ def leezhu_combine(
     mass is lost under conflict and the output is generally not normalized.
     Inputs need not be normalized.
     """
-    _check_same_frame((ibs1, ibs2))
+    _check_bodies((ibs1, ibs2), normalized=False)
     w = params.w
     lows: dict[int, float] = {}
     highs: dict[int, float] = {}
@@ -110,13 +112,12 @@ def leezhu_combine(
             highs[inter] = _lz_union(highs.get(inter, 0.0), c_hi, w)
     if not lows:
         raise TotalConflictError("not combinable: every focal-set pair conflicts")
-    entries = tuple(
-        (FocalSet(bits), min(lows[bits], highs[bits]), highs[bits])
-        for bits in sorted(lows)
-    )
-    ibs = IntervalBeliefStructure(ibs1.frame, entries)
-    return IntervalMassResult(
-        ibs1.frame, entries, includes_empty=None, normalized=is_normalized(ibs)
+    return _mass_result(
+        ibs1.frame,
+        (
+            (FocalSet(bits), min(lows[bits], highs[bits]), highs[bits])
+            for bits in sorted(lows)
+        ),
     )
 
 
@@ -135,26 +136,19 @@ def denoeux_combine(
     target like any other and its bounds are returned in
     ``includes_empty``.  Inputs must be normalized.
     """
-    _check_same_frame((ibs1, ibs2))
-    for idx, body in enumerate((ibs1, ibs2), start=1):
-        if not is_normalized(body):
-            raise IvbelError(f"body {idx} is not normalized")
-    v1s = enumerate_vertices(ibs1)
-    v2s = enumerate_vertices(ibs2)
+    _check_bodies((ibs1, ibs2), normalized=True)
     sets1 = [fs.bits for fs in ibs1.focal_sets]
     sets2 = [fs.bits for fs in ibs2.focal_sets]
     targets = sorted({b1 & b2 for b1 in sets1 for b2 in sets2})
+    v1s = enumerate_vertices(ibs1)
+    v2_pairs = [list(zip(sets2, v2)) for v2 in enumerate_vertices(ibs2)]
 
     lows = {t: math.inf for t in targets}
     highs = {t: -math.inf for t in targets}
-    for v1, v2 in itertools.product(v1s, v2s):
-        sums = {t: 0.0 for t in targets}
-        for b1, m1 in zip(sets1, v1):
-            if m1 == 0.0:
-                continue
-            for b2, m2 in zip(sets2, v2):
-                sums[b1 & b2] += m1 * m2
-        for t, value in sums.items():
+    for v1, pairs2 in itertools.product(v1s, v2_pairs):
+        sums = _products(zip(sets1, v1), pairs2)
+        for t in targets:
+            value = sums.get(t, 0.0)
             if value < lows[t]:
                 lows[t] = value
             if value > highs[t]:
@@ -164,9 +158,7 @@ def denoeux_combine(
     entries = tuple(
         (FocalSet(bits), lows[bits], highs[bits]) for bits in sorted(lows)
     )
-    return IntervalMassResult(
-        ibs1.frame, entries, includes_empty=empty, normalized=False
-    )
+    return IntervalMassResult(ibs1.frame, entries, includes_empty=empty)
 
 
 def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
@@ -204,10 +196,7 @@ def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
             )
         # Point-valued raw bounds can leave lo above hi by rounding.
         entries.append((fs, min(new_lo, new_hi), new_hi))
-    ibs = IntervalBeliefStructure(raw.frame, tuple(entries))
-    return IntervalMassResult(
-        raw.frame, tuple(entries), includes_empty=None, normalized=is_normalized(ibs)
-    )
+    return _mass_result(raw.frame, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +213,12 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
     tuple conflicts totally the bodies are not combinable.  Inputs must be
     normalized.
     """
-    if len(bodies) < 2:
-        raise IvbelError("no evidence: need at least two bodies to combine")
-    _check_same_frame(bodies)
-    for idx, body in enumerate(bodies, start=1):
-        if not is_normalized(body):
-            raise IvbelError(f"body {idx} is not normalized")
-    vertex_sets = [enumerate_vertices(b) for b in bodies]
+    _check_bodies(bodies, normalized=True)
     focal_bits = [[fs.bits for fs in b.focal_sets] for b in bodies]
+    vertex_pairs = [
+        [list(zip(bits, v)) for v in enumerate_vertices(b)]
+        for bits, b in zip(focal_bits, bodies)
+    ]
 
     full = (1 << bodies[0].frame.size) - 1
     targets: set[int] = set()
@@ -247,22 +234,14 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
     lows = {t: math.inf for t in targets}
     highs = {t: -math.inf for t in targets}
     feasible = False
-    for tuple_vertices in itertools.product(*vertex_sets):
+    for tuple_pairs in itertools.product(*vertex_pairs):
         masses: dict[int, float] = {full: 1.0}
-        for bits_list, vertex in zip(focal_bits, tuple_vertices):
-            step: dict[int, float] = {}
-            for acc_bits, acc_mass in masses.items():
-                if acc_mass == 0.0:
-                    continue
-                for b, m in zip(bits_list, vertex):
-                    if m == 0.0:
-                        continue
-                    step[acc_bits & b] = step.get(acc_bits & b, 0.0) + acc_mass * m
-            masses = step
+        for pairs in tuple_pairs:
+            masses = _products(masses.items(), pairs)
         conflict = masses.get(0, 0.0)
-        denom = 1.0 - conflict
-        if denom <= 1e-12:
+        if conflict >= 1.0 - COMBINABLE_TOL:
             continue
+        denom = 1.0 - conflict
         feasible = True
         for t in targets:
             # The ratio cannot exceed 1; rounding can push it one ulp over.
@@ -275,12 +254,9 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
         raise TotalConflictError(
             "not combinable: all vertex tuples are in total conflict"
         )
-    entries = tuple(
-        (FocalSet(bits), lows[bits], highs[bits]) for bits in sorted(targets)
-    )
-    ibs = IntervalBeliefStructure(bodies[0].frame, entries)
-    return IntervalMassResult(
-        bodies[0].frame, entries, includes_empty=None, normalized=is_normalized(ibs)
+    return _mass_result(
+        bodies[0].frame,
+        ((FocalSet(bits), lows[bits], highs[bits]) for bits in sorted(targets)),
     )
 
 
@@ -300,10 +276,11 @@ class IfsElement:
     def __post_init__(self) -> None:
         if self.target.cardinality != 1:
             raise IvbelError("IFS element target must be a singleton")
-        if self.mu < -1e-12 or self.gamma < -1e-12 or self.mu + self.gamma > 1.0 + 1e-9:
+        mu, gamma = self.mu, self.gamma
+        if min(mu, gamma) < -MASS_DROP_EPS or mu + gamma > 1.0 + MASS_SUM_TOL:
             raise IvbelError(
                 f"IFS element requires mu, gamma >= 0 and mu + gamma <= 1, "
-                f"got mu={self.mu}, gamma={self.gamma}"
+                f"got mu={mu}, gamma={gamma}"
             )
 
     @property
@@ -321,7 +298,7 @@ def ifs_combine(e1: IfsElement, e2: IfsElement) -> IfsElement:
     if e1.target != e2.target:
         raise IvbelError("IFS elements must assess the same singleton")
     denom = 1.0 - e1.mu * e2.gamma - e2.mu * e1.gamma
-    if denom <= 1e-12:
+    if denom <= COMBINABLE_TOL:
         raise TotalConflictError("IFS total conflict")
     mu = (e1.mu * (1.0 - e2.gamma) + e2.mu * e1.pi) / denom
     gamma = (e1.gamma * (1.0 - e2.mu) + e2.gamma * e1.pi) / denom
@@ -374,9 +351,7 @@ def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> SongStages
     ``raw`` holds the back-transformed intervals before the final
     normalization; ``result`` is the normalized output (singletons only).
     """
-    if len(bodies) < 2:
-        raise IvbelError("no evidence: need at least two bodies to combine")
-    _check_same_frame(bodies)
+    _check_bodies(bodies, normalized=False)
     frame = bodies[0].frame
     normalized_bodies = tuple(normalize(b) for b in bodies)
     pignistic_bodies = tuple(interval_pignistic(b) for b in normalized_bodies)
@@ -397,17 +372,10 @@ def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> SongStages
         combined.append(acc)
 
     # 1 - gamma can undershoot mu by a few ulps when the hesitancy is zero.
-    raw_entries = tuple(
-        (e.target, min(e.mu, 1.0 - e.gamma), 1.0 - e.gamma) for e in combined
+    raw = _mass_result(
+        frame, ((e.target, min(e.mu, 1.0 - e.gamma), 1.0 - e.gamma) for e in combined)
     )
-    raw_ibs = IntervalBeliefStructure(frame, raw_entries)
-    raw = IntervalMassResult(
-        frame, raw_entries, includes_empty=None, normalized=is_normalized(raw_ibs)
-    )
-    final_ibs = normalize(raw_ibs)
-    result = IntervalMassResult(
-        frame, final_ibs.entries, includes_empty=None, normalized=True
-    )
+    result = IntervalMassResult(frame, normalize(raw.as_ibs()).entries, normalized=True)
     return SongStages(
         normalized_bodies=normalized_bodies,
         pignistic_bodies=pignistic_bodies,

@@ -256,6 +256,8 @@ class TestNormalization:
                 {("A",): (0.0, 0.3), ("B",): (0.0, 0.0)},
                 ("rescaled proportionally", "tightened bounds"),
             ),
+            # Rescaling leaves lo_A one ulp below 0.5, inside MASS_SUM_TOL.
+            ({("A",): (0.6, 1.0), ("B",): (0.5, 0.6)}, ("rescaled proportionally",)),
         ],
     )
     def test_normalization_steps_report_normalize(self, bounds, steps):

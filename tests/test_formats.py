@@ -183,6 +183,34 @@ class TestResultJson:
             result_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("entries", 5, r"\$\.entries: must be a list"),
+        ("set", 5, r"\$\.entries\[0\]\.set: must be a non-empty list"),
+        ("frame", "ab", r"\$\.frame: must be a non-empty list"),
+        ("entries", [], None),
+    ],
+    ids=["entries-not-a-list", "set-not-a-list", "frame-a-string", "no-entries"],
+)
+def test_result_json_schema(field, value, where):
+    frame = Frame(("a", "b"))
+    result = IntervalMassResult(frame, ((frame.full_set, 0.2, 0.7),), (0.3, 0.8))
+    data = result_to_json(result, method="denoeux")
+    if field == "set":
+        data["entries"][0]["set"] = value
+    else:
+        data[field] = value
+    if where is not None:
+        with pytest.raises(SchemaError, match=where):
+            result_from_json(data)
+        return
+    # Total conflict leaves no non-empty entry; the result must round-trip.
+    back, method = result_from_json(json.loads(json.dumps(data)))
+    assert back.entries == () and back.includes_empty == (0.3, 0.8)
+    assert method == "denoeux"
+
+
 class TestRendering:
     def test_render_table_alignment(self):
         out = render_table(["set", "lo"], [["{A}", "0.2000"], ["{A,B}", "12.0"]])

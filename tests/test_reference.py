@@ -26,6 +26,7 @@ from ivbel import (
     interval_pignistic,
     leezhu_combine,
     normalize,
+    proposed_combine,
     song_combine,
     song_combine_detail,
     wang_combine,
@@ -42,6 +43,27 @@ def point_pair():
     b1 = Bpa.from_mapping(FRAME, {("A",): 0.6, ("A", "B"): 0.4})
     b2 = Bpa.from_mapping(FRAME, {("B",): 0.5, ("A", "B", "C"): 0.5})
     return b1, b2
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda a, b: wang_combine((a, b)),
+        lambda a, b: denoeux_combine(a, b),
+        lambda a, b: proposed_combine((a, b)),
+    ],
+    ids=["wang", "denoeux", "proposed"],
+)
+def test_engines_share_the_normalized_input_contract(engine):
+    loose = IntervalBeliefStructure.from_mapping(
+        FRAME, {("A",): (0.1, 0.9), ("B",): (0.1, 0.9), ("C",): (0.1, 0.9)}
+    )
+    ok = from_bpa(point_pair()[0])
+    with pytest.raises(
+        IvbelError,
+        match=r"^body 2 is not normalized; normalize inputs before combining$",
+    ):
+        engine(ok, loose)
 
 
 class TestLeeZhu:

@@ -1,0 +1,49 @@
+"""Every tolerance in the package has a name."""
+
+import re
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ivbel"
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+TOLERANCE_LITERAL = re.compile(r"[eE]-\d")
+# reproduce.py compares against printed reference tables; its 1e-3, 5e-3 and
+# 1e-2 are the stated precision of those tables, not numerical tolerances.
+EXEMPT = {"reproduce.py"}
+
+
+def _stray_literals(path: Path) -> list[str]:
+    """``...e-N`` number literals outside module-level constant definitions."""
+    stray = []
+    statement: list[tokenize.TokenInfo] = []
+    with path.open(encoding="utf-8") as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type == tokenize.NEWLINE:
+                statement = []
+                continue
+            if tok.type in (tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT):
+                continue
+            statement.append(tok)
+            if tok.type != tokenize.NUMBER or not TOLERANCE_LITERAL.search(tok.string):
+                continue
+            head = statement[0]
+            is_constant = (
+                head.start[1] == 0
+                and CONSTANT.fullmatch(head.string) is not None
+                and len(statement) > 1
+                and statement[1].string in ("=", ":")
+            )
+            if not is_constant:
+                stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    return stray
+
+
+def test_tolerance_literals_are_named_constants():
+    assert (SRC / "core.py").is_file()
+    stray = [
+        hit
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in EXEMPT
+        for hit in _stray_literals(path)
+    ]
+    assert stray == [], "name these tolerances as module-level constants: " + ", ".join(stray)
