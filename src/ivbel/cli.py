@@ -162,7 +162,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     rows = []
     notes = []
     for name, body in bodies:
-        point = degenerate_bpa(body) if body.is_degenerate(tol=MASS_SUM_TOL) else None
+        point = degenerate_bpa(body) if body.is_degenerate() else None
         for mid in requested:
             meas = measure(mid)
             if point is not None:
@@ -263,7 +263,7 @@ def _run_engine(
 
     if method == "dempster":
         for name, body in zip(names, bodies):
-            if not body.is_degenerate(tol=MASS_SUM_TOL):
+            if not body.is_degenerate():
                 raise IvbelError(
                     f"method dempster needs point-valued evidence (lo = hi);"
                     f" body {name!r} has interval bounds"

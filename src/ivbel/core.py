@@ -326,8 +326,8 @@ class IntervalBeliefStructure(_IntervalEntries):
     def upper_bounds(self) -> tuple[float, ...]:
         return tuple(hi for _, _, hi in self.entries)
 
-    def is_degenerate(self, tol: float = MASS_DROP_EPS) -> bool:
-        """True when every interval has zero width, i.e. the structure is a BPA."""
+    def is_degenerate(self, tol: float = MASS_SUM_TOL) -> bool:
+        """True when every width is ``<= tol``, i.e. the structure is a BPA."""
         return all(hi - lo <= tol for _, lo, hi in self.entries)
 
 
@@ -376,7 +376,7 @@ def validate_ibs(ibs: IntervalBeliefStructure) -> ValidityVerdict:
 
     A structure is valid iff every interval satisfies ``0 <= lo <= hi <= 1``
     (guaranteed by construction) and the bounds straddle the unit total:
-    ``sum(lo) <= 1 <= sum(hi)``.
+    ``sum(lo) <= 1 <= sum(hi)``, both closed within :data:`MASS_SUM_TOL`.
     """
     sum_lo = math.fsum(ibs.lower_bounds)
     sum_hi = math.fsum(ibs.upper_bounds)
@@ -393,7 +393,8 @@ def is_normalized(ibs: IntervalBeliefStructure) -> bool:
     For each entry ``k`` the two tightness conditions must hold:
     ``sum(hi) - (hi_k - lo_k) >= 1`` and ``sum(lo) + (hi_k - lo_k) <= 1``.
     Equivalently, fixing entry ``k`` at either of its bounds leaves the
-    remaining entries able to absorb the rest of the unit mass.
+    remaining entries able to absorb the rest of the unit mass.  Both tests
+    are closed within :data:`MASS_SUM_TOL`.
     """
     sum_lo = math.fsum(ibs.lower_bounds)
     sum_hi = math.fsum(ibs.upper_bounds)
@@ -508,7 +509,7 @@ def normalize(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
 
 def degenerate_bpa(ibs: IntervalBeliefStructure) -> Bpa:
     """Collapse a zero-width structure to the BPA it denotes."""
-    if not ibs.is_degenerate(tol=MASS_SUM_TOL):
+    if not ibs.is_degenerate():
         raise IvbelError("structure has non-degenerate intervals")
     return Bpa(ibs.frame, tuple((fs, (lo + hi) / 2.0) for fs, lo, hi in ibs.entries))
 

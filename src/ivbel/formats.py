@@ -248,12 +248,10 @@ def result_from_json(data: Any) -> tuple[IntervalMassResult, str | None]:
             "must be a [lo, hi] pair or null",
         )
         empty = (_as_number(empty[0], "$.empty[0]"), _as_number(empty[1], "$.empty[1]"))
-    result = IntervalMassResult(
-        frame,
-        entries,
-        includes_empty=empty,
-        normalized=bool(data.get("normalized", False)),
-    )
+        _require(empty[0] <= empty[1], "$.empty", f"lo {empty[0]!r} exceeds hi {empty[1]!r}")
+    normalized = data.get("normalized", False)
+    _require(isinstance(normalized, bool), "$.normalized", "must be true or false")
+    result = IntervalMassResult(frame, entries, includes_empty=empty, normalized=normalized)
     return result, data.get("method")
 
 
@@ -281,16 +279,12 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def render_intervals_table(
-    frame: Frame,
-    entries: Sequence[tuple],
-    label: str = "focal set",
-) -> str:
+def render_intervals_table(frame: Frame, entries: Sequence[tuple]) -> str:
     """Render (FocalSet, lo, hi) rows with 4-decimal bounds."""
     rows = [
         [frame.format_set(fs), _fmt(lo), _fmt(hi)] for fs, lo, hi in entries
     ]
-    return render_table([label, "lo", "hi"], rows)
+    return render_table(["focal set", "lo", "hi"], rows)
 
 
 def render_csv(

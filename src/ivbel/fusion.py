@@ -9,10 +9,12 @@ interval spanned by its two folded masses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    MASS_DROP_EPS,
     Bpa,
     FocalSet,
     IntervalBeliefStructure,
@@ -28,7 +30,6 @@ from .entropy import EntropyMeasure, measure
 from .optimize import entropy_bounds
 
 __all__ = [
-    "COMBINABLE_TOL",
     "DempsterDiagnostics",
     "CombinationReport",
     "dempster_conflict",
@@ -37,10 +38,6 @@ __all__ = [
     "proposed_combine",
     "proposed_combine_report",
 ]
-
-# Bodies are combinable iff the conflict mass K stays below 1 by this margin.
-COMBINABLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DempsterDiagnostics:
@@ -82,29 +79,36 @@ def _products(
     return out
 
 
-def _raw_products(b1: Bpa, b2: Bpa) -> tuple[dict[int, float], float]:
-    """Unnormalized intersection products and the conflict mass."""
+def _combinable(products: dict[int, float]) -> bool:
+    """False on total conflict, a closed test: the exact surviving mass is
+    ``<= MASS_DROP_EPS`` or K (key 0) is ``>= 1 - MASS_DROP_EPS``.  BPAs sum
+    to 1 only within ``MASS_SUM_TOL``, so neither implies the other."""
+    surviving = math.fsum(m for bits, m in products.items() if bits)
+    return surviving > MASS_DROP_EPS and products.get(0, 0.0) < 1.0 - MASS_DROP_EPS
+
+
+def _raw_products(b1: Bpa, b2: Bpa) -> tuple[dict[int, float], float, bool]:
+    """Unnormalized intersection products, conflict mass, :func:`_combinable`."""
     raw = _products(
         [(fs.bits, m) for fs, m in b1.entries], [(fs.bits, m) for fs, m in b2.entries]
     )
-    return raw, raw.pop(0, 0.0)
+    combinable = _combinable(raw)
+    return raw, raw.pop(0, 0.0), combinable
 
 
 def dempster_conflict(b1: Bpa, b2: Bpa) -> DempsterDiagnostics:
     """Conflict diagnostics without performing the combination."""
     _check_same_frame((b1, b2))
-    _, conflict = _raw_products(b1, b2)
-    return DempsterDiagnostics(conflict, conflict < 1.0 - COMBINABLE_TOL)
+    _, conflict, combinable = _raw_products(b1, b2)
+    return DempsterDiagnostics(conflict, combinable)
 
 
 def dempster_combine(b1: Bpa, b2: Bpa) -> tuple[Bpa, DempsterDiagnostics]:
-    """Dempster's rule for two BPAs on one frame.
-
-    Raises :class:`TotalConflictError` when the conflict mass reaches one.
-    """
+    """Dempster's rule for two BPAs on one frame; raises
+    :class:`TotalConflictError` on total conflict (:func:`_combinable`)."""
     _check_same_frame((b1, b2))
-    raw, conflict = _raw_products(b1, b2)
-    if conflict >= 1.0 - COMBINABLE_TOL:
+    raw, conflict, combinable = _raw_products(b1, b2)
+    if not combinable:
         raise TotalConflictError(f"not combinable: total conflict (K={conflict:.12g})")
     scale = 1.0 / (1.0 - conflict)
     combined = Bpa(

@@ -18,7 +18,7 @@ from .core import MASS_SUM_TOL, IntervalBeliefStructure, IvbelError
 __all__ = ["MAX_VERTEX_DIM", "enumerate_vertices", "contains"]
 
 # Refuse enumeration above this many focal sets; the candidate count grows as
-# n * 2**(n-1) + 2**n.
+# n * 2**(n-1).
 MAX_VERTEX_DIM = 24
 _DEDUPE_DECIMALS = 12
 
@@ -27,9 +27,9 @@ def enumerate_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...],
     """All vertices of the feasible polytope, as mass vectors.
 
     Vectors are aligned with ``ibs.entries`` (canonical focal-set order) and
-    returned sorted lexicographically, with duplicates closer than 1e-12 in
-    max-norm removed.  Raises when the structure has no feasible point or has
-    more than :data:`MAX_VERTEX_DIM` entries.
+    returned sorted lexicographically, with duplicates equal after rounding to
+    12 decimals removed.  Raises when the structure has no feasible point or
+    has more than :data:`MAX_VERTEX_DIM` entries.
     """
     n = len(ibs.entries)
     if n > MAX_VERTEX_DIM:
@@ -40,29 +40,22 @@ def enumerate_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...],
     hi = ibs.upper_bounds
     found: dict[tuple[float, ...], tuple[float, ...]] = {}
 
-    def keep(vec: tuple[float, ...]) -> None:
-        key = tuple(round(v, _DEDUPE_DECIMALS) for v in vec)
-        found.setdefault(key, vec)
-
-    # Every coordinate at a bound.
-    for pattern in itertools.product((0, 1), repeat=n):
-        vec = tuple(hi[i] if pattern[i] else lo[i] for i in range(n))
-        if abs(math.fsum(vec) - 1.0) <= MASS_SUM_TOL:
-            keep(vec)
-
-    # One free coordinate absorbing the residual.
+    # Each vertex has at most one coordinate strictly between its bounds: fix
+    # the others at bounds and let the free one absorb the residual.  A
+    # residual within MASS_SUM_TOL of a bound snaps to it, so a vertex with
+    # every coordinate at a bound has the same floats whichever one is free.
     for free in range(n):
         others = [i for i in range(n) if i != free]
         for pattern in itertools.product((0, 1), repeat=n - 1):
-            fixed = [hi[others[j]] if pattern[j] else lo[others[j]] for j in range(n - 1)]
+            fixed = [hi[i] if up else lo[i] for i, up in zip(others, pattern)]
             residual = 1.0 - math.fsum(fixed)
             if lo[free] - MASS_SUM_TOL <= residual <= hi[free] + MASS_SUM_TOL:
-                value = min(max(residual, lo[free]), hi[free])
-                vec = list(ibs.lower_bounds)
-                for j, i in enumerate(others):
-                    vec[i] = fixed[j]
-                vec[free] = value
-                keep(tuple(vec))
+                if abs(residual - lo[free]) <= MASS_SUM_TOL:
+                    residual = lo[free]
+                elif abs(residual - hi[free]) <= MASS_SUM_TOL:
+                    residual = hi[free]
+                vec = tuple(fixed[:free] + [residual] + fixed[free:])
+                found.setdefault(tuple(round(v, _DEDUPE_DECIMALS) for v in vec), vec)
 
     if not found:
         raise IvbelError("structure has no feasible mass assignment")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     MASS_DROP_EPS,
@@ -34,7 +34,7 @@ from .core import (
     _mass_result,
     normalize,
 )
-from .fusion import COMBINABLE_TOL, _products
+from .fusion import _combinable, _products
 from .polytope import enumerate_vertices
 
 __all__ = [
@@ -122,6 +122,48 @@ def leezhu_combine(
 
 
 # ---------------------------------------------------------------------------
+# Vertex-tuple scan shared by Denoeux and Wang
+
+
+def _targets(bodies: Sequence[IntervalBeliefStructure]) -> set[int]:
+    """Intersections of one focal set per body; 0 is the empty set."""
+    targets = {(1 << bodies[0].frame.size) - 1}
+    for body in bodies:
+        targets = {t & fs.bits for t in targets for fs in body.focal_sets}
+    return targets
+
+
+def _vertex_products(bodies: Sequence[IntervalBeliefStructure]) -> Iterator[dict]:
+    """Intersection products of each tuple of polytope vertices, one vertex
+    per body; key 0 holds the conflict mass."""
+    full = (1 << bodies[0].frame.size) - 1
+    vertex_pairs = [
+        [list(zip([fs.bits for fs in b.focal_sets], v)) for v in enumerate_vertices(b)]
+        for b in bodies
+    ]
+    for tuple_pairs in itertools.product(*vertex_pairs):
+        masses = {full: 1.0}
+        for pairs in tuple_pairs:
+            masses = _products(masses.items(), pairs)
+        yield masses
+
+
+def _extrema(targets: set[int], points: Iterable[dict[int, float]]) -> tuple[dict, dict]:
+    """Per-target minimum and maximum over ``points``, reading an absent key
+    as 0; both stay infinite when there are no points."""
+    lows = dict.fromkeys(targets, math.inf)
+    highs = dict.fromkeys(targets, -math.inf)
+    for point in points:
+        for t in targets:
+            value = point.get(t, 0.0)
+            if value < lows[t]:
+                lows[t] = value
+            if value > highs[t]:
+                highs[t] = value
+    return lows, highs
+
+
+# ---------------------------------------------------------------------------
 # Denoeux
 
 
@@ -136,24 +178,9 @@ def denoeux_combine(
     target like any other and its bounds are returned in
     ``includes_empty``.  Inputs must be normalized.
     """
-    _check_bodies((ibs1, ibs2), normalized=True)
-    sets1 = [fs.bits for fs in ibs1.focal_sets]
-    sets2 = [fs.bits for fs in ibs2.focal_sets]
-    targets = sorted({b1 & b2 for b1 in sets1 for b2 in sets2})
-    v1s = enumerate_vertices(ibs1)
-    v2_pairs = [list(zip(sets2, v2)) for v2 in enumerate_vertices(ibs2)]
-
-    lows = {t: math.inf for t in targets}
-    highs = {t: -math.inf for t in targets}
-    for v1, pairs2 in itertools.product(v1s, v2_pairs):
-        sums = _products(zip(sets1, v1), pairs2)
-        for t in targets:
-            value = sums.get(t, 0.0)
-            if value < lows[t]:
-                lows[t] = value
-            if value > highs[t]:
-                highs[t] = value
-
+    bodies = (ibs1, ibs2)
+    _check_bodies(bodies, normalized=True)
+    lows, highs = _extrema(_targets(bodies), _vertex_products(bodies))
     empty = (lows.pop(0), highs.pop(0)) if 0 in lows else (0.0, 0.0)
     entries = tuple(
         (FocalSet(bits), lows[bits], highs[bits]) for bits in sorted(lows)
@@ -173,7 +200,10 @@ def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
 
     where ``[e_lo, e_hi]`` are the raw empty-set bounds.  With
     ``e == [0, 0]`` and point masses summing to one this is the identity.
+    Raises :class:`TotalConflictError` when no non-empty target is left.
     """
+    if not raw.entries:
+        raise TotalConflictError("not combinable: total conflict (every intersection is empty)")
     e_lo, e_hi = raw.includes_empty if raw.includes_empty is not None else (0.0, 0.0)
     sum_lo = math.fsum(lo for _, lo, _ in raw.entries)
     sum_hi = math.fsum(hi for _, _, hi in raw.entries)
@@ -214,46 +244,21 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
     normalized.
     """
     _check_bodies(bodies, normalized=True)
-    focal_bits = [[fs.bits for fs in b.focal_sets] for b in bodies]
-    vertex_pairs = [
-        [list(zip(bits, v)) for v in enumerate_vertices(b)]
-        for bits, b in zip(focal_bits, bodies)
-    ]
-
-    full = (1 << bodies[0].frame.size) - 1
-    targets: set[int] = set()
-    for combo in itertools.product(*focal_bits):
-        inter = full
-        for b in combo:
-            inter &= b
-        if inter:
-            targets.add(inter)
+    targets = _targets(bodies) - {0}
     if not targets:
         raise TotalConflictError("not combinable: every focal-set tuple conflicts")
 
-    lows = {t: math.inf for t in targets}
-    highs = {t: -math.inf for t in targets}
-    feasible = False
-    for tuple_pairs in itertools.product(*vertex_pairs):
-        masses: dict[int, float] = {full: 1.0}
-        for pairs in tuple_pairs:
-            masses = _products(masses.items(), pairs)
-        conflict = masses.get(0, 0.0)
-        if conflict >= 1.0 - COMBINABLE_TOL:
-            continue
-        denom = 1.0 - conflict
-        feasible = True
-        for t in targets:
+    def ratios() -> Iterator[dict[int, float]]:
+        for masses in _vertex_products(bodies):
+            if not _combinable(masses):
+                continue
+            denom = 1.0 - masses.get(0, 0.0)
             # The ratio cannot exceed 1; rounding can push it one ulp over.
-            value = min(masses.get(t, 0.0) / denom, 1.0)
-            if value < lows[t]:
-                lows[t] = value
-            if value > highs[t]:
-                highs[t] = value
-    if not feasible:
-        raise TotalConflictError(
-            "not combinable: all vertex tuples are in total conflict"
-        )
+            yield {t: min(m / denom, 1.0) for t, m in masses.items() if t}
+
+    lows, highs = _extrema(targets, ratios())
+    if math.inf in lows.values():
+        raise TotalConflictError("not combinable: all vertex tuples are in total conflict")
     return _mass_result(
         bodies[0].frame,
         ((FocalSet(bits), lows[bits], highs[bits]) for bits in sorted(targets)),
@@ -298,7 +303,7 @@ def ifs_combine(e1: IfsElement, e2: IfsElement) -> IfsElement:
     if e1.target != e2.target:
         raise IvbelError("IFS elements must assess the same singleton")
     denom = 1.0 - e1.mu * e2.gamma - e2.mu * e1.gamma
-    if denom <= COMBINABLE_TOL:
+    if denom <= MASS_DROP_EPS:
         raise TotalConflictError("IFS total conflict")
     mu = (e1.mu * (1.0 - e2.gamma) + e2.mu * e1.pi) / denom
     gamma = (e1.gamma * (1.0 - e2.mu) + e2.gamma * e1.pi) / denom

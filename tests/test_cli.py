@@ -285,6 +285,39 @@ class TestCombine:
         assert rc == 0
         assert "cumulative conflict: K = 0.6500" in out
 
+    @pytest.mark.parametrize(
+        "method, m1, m2",
+        [
+            ("denoeux", {"A": 1.0}, {"B": 1.0}),
+            ("dempster", {"A": 1.0}, {"B": 1.0 - 5e-10}),
+            ("proposed", {"A": 1.0}, {"B": 1.0 - 5e-10}),
+            # The second BPA sums to 1 + 2^-30 and K accumulates to 1.0.
+            *(
+                (
+                    method,
+                    {"A": 1 - 2.0**-10, "C": 2.0**-10},
+                    {"B": 1 - 2.0**-20 + 2.0**-30, "C": 2.0**-20},
+                )
+                for method in ("dempster", "proposed")
+            ),
+        ],
+        ids=["denoeux", "dempster-short", "proposed-short", "dempster-K=1", "proposed-K=1"],
+    )
+    def test_total_conflict_exits_2(self, capsys, tmp_path, method, m1, m2):
+        data = {
+            "format": 1,
+            "frame": ["A", "B", "C"],
+            "bodies": [
+                {"masses": [{"set": [s], "mass": m} for s, m in masses.items()]}
+                for masses in (m1, m2)
+            ],
+        }
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc, _, err = run(capsys, "combine", str(path), "--method", method)
+        assert rc == 2
+        assert "not combinable: total conflict" in err
+
     def test_dempster_rejects_interval_bodies(self, capsys):
         rc, _, err = run(capsys, "combine", bundled("example4"), "--method", "dempster")
         assert rc == 2

@@ -30,7 +30,12 @@ from ivbel import (
     plausibility_transform,
     validate_ibs,
 )
-from ivbel.core import _rescale_proportionally, _tighten_bounds, normalization_steps
+from ivbel.core import (
+    MASS_SUM_TOL,
+    _rescale_proportionally,
+    _tighten_bounds,
+    normalization_steps,
+)
 
 from helpers import FRAME3, random_bpa, random_valid_ibs
 
@@ -205,6 +210,25 @@ class TestValidity:
         verdict = validate_ibs(ibs)
         assert not verdict
         assert "upper bounds" in verdict.reason
+
+    @pytest.mark.parametrize(
+        "total, accepted",
+        [
+            (1.0 + MASS_SUM_TOL, True),
+            (math.nextafter(1.0 + MASS_SUM_TOL, 2.0), False),
+            (1.0 - MASS_SUM_TOL, True),
+            (math.nextafter(1.0 - MASS_SUM_TOL, 0.0), False),
+        ],
+        ids=["sum-1+tol", "just-above", "sum-1-tol", "just-below"],
+    )
+    def test_sum_tolerance_is_closed(self, total, accepted):
+        # total - 0.5 is exact (Sterbenz), so the bounds sum to total exactly.
+        ibs = IntervalBeliefStructure.from_mapping(
+            FRAME, {("A",): (0.5, 0.5), ("B",): (total - 0.5, total - 0.5)}
+        )
+        assert math.fsum(ibs.lower_bounds) == total
+        assert validate_ibs(ibs).ok is accepted
+        assert is_normalized(ibs) is accepted
 
 
 class TestNormalization:

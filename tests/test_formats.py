@@ -190,8 +190,17 @@ class TestResultJson:
         ("set", 5, r"\$\.entries\[0\]\.set: must be a non-empty list"),
         ("frame", "ab", r"\$\.frame: must be a non-empty list"),
         ("entries", [], None),
+        ("empty", [0.5, 0.2], r"\$\.empty: lo 0\.5 exceeds hi 0\.2"),
+        ("normalized", "no", r"\$\.normalized: must be true or false"),
     ],
-    ids=["entries-not-a-list", "set-not-a-list", "frame-a-string", "no-entries"],
+    ids=[
+        "entries-not-a-list",
+        "set-not-a-list",
+        "frame-a-string",
+        "no-entries",
+        "empty-lo-above-hi",
+        "normalized-not-a-bool",
+    ],
 )
 def test_result_json_schema(field, value, where):
     frame = Frame(("a", "b"))

@@ -19,6 +19,7 @@ from ivbel import (
     proposed_combine,
     proposed_combine_report,
 )
+from ivbel.core import MASS_DROP_EPS
 from ivbel.reproduce import load_bundled
 
 from helpers import FRAME3, random_bpa, random_normalized_ibs, random_valid_ibs
@@ -43,10 +44,38 @@ class TestDempster:
 
     def test_total_conflict(self):
         b1 = bpa({("A",): 1.0})
-        b2 = bpa({("B",): 1.0})
-        assert not dempster_conflict(b1, b2).combinable
-        with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
-            dempster_combine(b1, b2)
+        # K = 1 - 5e-10 is total conflict too: BPAs only sum to 1 within
+        # MASS_SUM_TOL, and no mass survives on a non-empty set.
+        for b_mass in (1.0, 1.0 - 5e-10):
+            b2 = bpa({("B",): b_mass})
+            assert not dempster_conflict(b1, b2).combinable
+            with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
+                dempster_combine(b1, b2)
+
+    @pytest.mark.parametrize(
+        "x, y, excess, combinable",
+        [
+            (2.0**-20, 2.0**-20, 0.0, False),
+            (2.0**-20, 2.0**-19, 0.0, True),
+            (2.0**-20, MASS_DROP_EPS * 2.0**20, -(2.0**-30), False),
+            (2.0**-20, math.nextafter(MASS_DROP_EPS, 1.0) * 2.0**20, -(2.0**-30), True),
+            (2.0**-10, 2.0**-20, 2.0**-30, False),
+            (2.0**-11, 2.0**-20, 2.0**-30, False),
+        ],
+        ids=["2^-40", "2^-39", "eps", "just-above-eps", "K=1", "K>1"],
+    )
+    def test_total_conflict_boundary_is_closed(self, x, y, excess, combinable):
+        # Only C meets C, so the surviving mass is exactly x * y.  The second
+        # BPA sums to 1 + excess (within MASS_SUM_TOL).  A short sum keeps K
+        # near 1 - 2^-30, so the surviving-mass test alone decides the "eps"
+        # rows; a long one drives K to 1.0 or above with 2^-30 or 2^-31
+        # surviving, which the K test rejects.
+        b1 = bpa({("A",): 1.0 - x, ("C",): x})
+        b2 = bpa({("B",): 1.0 - y + excess, ("C",): y})
+        assert dempster_conflict(b1, b2).combinable is combinable
+        if not combinable:
+            with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
+                dempster_combine(b1, b2)
 
     def test_vacuous_is_neutral(self):
         b = bpa({("A",): 0.6, ("B", "C"): 0.4})

@@ -33,6 +33,12 @@ class TestTwoSets:
         vertices = enumerate_vertices(ibs2(0.4, 0.4, 0.6, 0.6))
         assert vertices == ((0.4, 0.6),)
 
+    def test_residual_within_tolerance_snaps_to_the_bound(self):
+        # B's lower bound sits 5e-10 above A's complement: the polytope is a
+        # segment with two vertices, not three that differ at 5e-10.
+        vertices = enumerate_vertices(ibs2(0.3, 0.5, 0.5 + 5e-10, 0.7))
+        assert vertices == ((0.3, 0.7), (0.5, 0.5 + 5e-10))
+
     def test_infeasible_structure(self):
         with pytest.raises(IvbelError, match="no feasible mass assignment"):
             enumerate_vertices(ibs2(0.0, 0.1, 0.0, 0.2))

@@ -31,6 +31,7 @@ from ivbel import (
     song_combine_detail,
     wang_combine,
 )
+from ivbel.core import MASS_SUM_TOL
 from ivbel.polytope import enumerate_vertices
 from ivbel.reproduce import load_bundled
 
@@ -174,6 +175,14 @@ class TestDenoeux:
         with pytest.raises(IvbelError, match="body 1 is not normalized"):
             denoeux_combine(loose, loose)
 
+    def test_total_conflict(self):
+        b1 = from_bpa(Bpa.from_mapping(FRAME, {("A",): 1.0}))
+        b2 = from_bpa(Bpa.from_mapping(FRAME, {("B",): 1.0}))
+        raw = denoeux_combine(b1, b2)
+        assert raw.entries == () and raw.includes_empty == (1.0, 1.0)
+        with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
+            denoeux_normalize(raw)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_bounds_contain_sampled_products(self, seed):
@@ -247,6 +256,20 @@ class TestWang:
         ibs2 = IntervalBeliefStructure.from_mapping(FRAME, {("B",): (1.0, 1.0)})
         with pytest.raises(TotalConflictError, match="every focal-set tuple conflicts"):
             wang_combine((ibs1, ibs2))
+
+    def test_skips_tuples_without_surviving_mass(self):
+        # The vertex A = 1 meets B = 1 - 5e-10 with K = 1 - 5e-10 and no
+        # surviving mass: a total-conflict tuple, so B's ratio is not 0.
+        ibs1 = IntervalBeliefStructure.from_mapping(
+            FRAME, {("A",): (0.0, 1.0), ("B",): (0.0, 1.0)}
+        )
+        ibs2 = IntervalBeliefStructure.from_mapping(
+            FRAME, {("B",): (1.0 - 5e-10, 1.0 - 5e-10)}
+        )
+        out = wang_combine((ibs1, ibs2))
+        ((fs, lo, hi),) = out.entries
+        assert fs == FRAME.singleton("B")
+        assert lo == hi == pytest.approx(1.0, abs=MASS_SUM_TOL)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
