@@ -79,38 +79,47 @@ def _products(
     return out
 
 
-def _combinable(products: dict[int, float]) -> bool:
-    """False on total conflict, a closed test: the exact surviving mass is
+def _surviving_mass(products: dict[int, float]) -> float:
+    """The surviving mass, ``math.fsum`` of the non-empty products, or 0.0 on
+    total conflict.  Total conflict is a closed test: the surviving mass is
     ``<= MASS_DROP_EPS`` or K (key 0) is ``>= 1 - MASS_DROP_EPS``.  BPAs sum
     to 1 only within ``MASS_SUM_TOL``, so neither implies the other."""
     surviving = math.fsum(m for bits, m in products.items() if bits)
-    return surviving > MASS_DROP_EPS and products.get(0, 0.0) < 1.0 - MASS_DROP_EPS
+    if surviving <= MASS_DROP_EPS or products.get(0, 0.0) >= 1.0 - MASS_DROP_EPS:
+        return 0.0
+    return surviving
 
 
-def _raw_products(b1: Bpa, b2: Bpa) -> tuple[dict[int, float], float, bool]:
-    """Unnormalized intersection products, conflict mass, :func:`_combinable`."""
+def _raw_products(b1: Bpa, b2: Bpa) -> tuple[dict[int, float], float, float]:
+    """Unnormalized intersection products, conflict mass, and the surviving
+    mass from :func:`_surviving_mass`."""
     raw = _products(
         [(fs.bits, m) for fs, m in b1.entries], [(fs.bits, m) for fs, m in b2.entries]
     )
-    combinable = _combinable(raw)
-    return raw, raw.pop(0, 0.0), combinable
+    surviving = _surviving_mass(raw)
+    return raw, raw.pop(0, 0.0), surviving
 
 
 def dempster_conflict(b1: Bpa, b2: Bpa) -> DempsterDiagnostics:
     """Conflict diagnostics without performing the combination."""
     _check_same_frame((b1, b2))
-    _, conflict, combinable = _raw_products(b1, b2)
-    return DempsterDiagnostics(conflict, combinable)
+    _, conflict, surviving = _raw_products(b1, b2)
+    return DempsterDiagnostics(conflict, surviving > 0.0)
 
 
 def dempster_combine(b1: Bpa, b2: Bpa) -> tuple[Bpa, DempsterDiagnostics]:
     """Dempster's rule for two BPAs on one frame; raises
-    :class:`TotalConflictError` on total conflict (:func:`_combinable`)."""
+    :class:`TotalConflictError` on total conflict (:func:`_surviving_mass`).
+
+    The products are divided by the exact surviving mass rather than by
+    ``1 - K``: near total conflict, K is known only to an absolute rounding
+    error that is large relative to ``1 - K``.
+    """
     _check_same_frame((b1, b2))
-    raw, conflict, combinable = _raw_products(b1, b2)
-    if not combinable:
+    raw, conflict, surviving = _raw_products(b1, b2)
+    if not surviving:
         raise TotalConflictError(f"not combinable: total conflict (K={conflict:.12g})")
-    scale = 1.0 / (1.0 - conflict)
+    scale = 1.0 / surviving
     combined = Bpa(
         b1.frame, tuple((FocalSet(bits), mass * scale) for bits, mass in raw.items())
     )

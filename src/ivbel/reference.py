@@ -34,7 +34,7 @@ from .core import (
     _mass_result,
     normalize,
 )
-from .fusion import _combinable, _products
+from .fusion import _products, _surviving_mass
 from .polytope import enumerate_vertices
 
 __all__ = [
@@ -200,13 +200,17 @@ def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
 
     where ``[e_lo, e_hi]`` are the raw empty-set bounds.  With
     ``e == [0, 0]`` and point masses summing to one this is the identity.
-    Raises :class:`TotalConflictError` when no non-empty target is left.
+    Raises :class:`TotalConflictError` when the non-empty targets can hold
+    at most ``MASS_DROP_EPS`` between them (the closed test of Dempster's
+    rule), including when none is left.
     """
-    if not raw.entries:
-        raise TotalConflictError("not combinable: total conflict (every intersection is empty)")
     e_lo, e_hi = raw.includes_empty if raw.includes_empty is not None else (0.0, 0.0)
     sum_lo = math.fsum(lo for _, lo, _ in raw.entries)
     sum_hi = math.fsum(hi for _, _, hi in raw.entries)
+    if sum_hi <= MASS_DROP_EPS:
+        raise TotalConflictError(
+            "not combinable: total conflict (no mass on any non-empty intersection)"
+        )
     entries = []
     for fs, lo, hi in raw.entries:
         rest_hi = sum_hi - hi
@@ -250,11 +254,12 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
 
     def ratios() -> Iterator[dict[int, float]]:
         for masses in _vertex_products(bodies):
-            if not _combinable(masses):
+            surviving = _surviving_mass(masses)
+            if not surviving:
                 continue
-            denom = 1.0 - masses.get(0, 0.0)
-            # The ratio cannot exceed 1; rounding can push it one ulp over.
-            yield {t: min(m / denom, 1.0) for t, m in masses.items() if t}
+            # Scaled as in dempster_combine.  A ratio exceeds 1 only when a
+            # vertex coordinate lies below zero within MASS_SUM_TOL.
+            yield {t: min(m / surviving, 1.0) for t, m in masses.items() if t}
 
     lows, highs = _extrema(targets, ratios())
     if math.inf in lows.values():

@@ -1,8 +1,9 @@
-"""Seeded random generators and the lattice entropy oracle shared by the
-unit and acceptance suites."""
+"""Seeded random generators and the brute-force vertex and lattice entropy
+oracles shared by the unit and acceptance suites."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ import numpy as np
 from ivbel import (
     Bpa,
     EntropyMeasure,
+    FocalSet,
     Frame,
     IntervalBeliefStructure,
     IvbelError,
@@ -18,7 +20,9 @@ from ivbel import (
     measure,
     normalize,
 )
+from ivbel.core import MASS_SUM_TOL
 from ivbel.entropy import separable_profile
+from ivbel.polytope import _DEDUPE_DECIMALS, MAX_VERTEX_DIM
 
 FRAME3 = Frame(("X", "Y", "Z"))
 
@@ -94,6 +98,29 @@ def random_aligned_ibs(
             )
 
 
+def random_box_ibs(rng: random.Random, n: int, width: float) -> IntervalBeliefStructure:
+    """A normalized structure with ``n`` focal sets on a 5-element frame.
+
+    Each bound is a random mass function (the full frame always included)
+    widened by ``width`` and clipped to [0, 1], as the benchmark ladders draw
+    their bodies, so vertex counts reach the hundreds at n = 10..12.
+    """
+    frame = Frame(("a", "b", "c", "d", "e"))
+    full = (1 << frame.size) - 1
+    subsets = rng.sample(range(1, full), n - 1) + [full]
+    weights = [rng.expovariate(1.0) for _ in subsets]
+    total = sum(weights)
+    return normalize(
+        IntervalBeliefStructure(
+            frame,
+            tuple(
+                (FocalSet(bits), max(0.0, w / total - width / 2), min(1.0, w / total + width / 2))
+                for bits, w in zip(subsets, weights)
+            ),
+        )
+    )
+
+
 def random_aligned_general_ibs(
     rng: random.Random, step: float = 0.005
 ) -> IntervalBeliefStructure:
@@ -129,6 +156,38 @@ def random_point_in(
         sum(w * v[i] for w, v in zip(weights, vertices)) / total
         for i in range(len(ibs.entries))
     )
+
+
+def brute_force_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...], ...]:
+    """:func:`ivbel.enumerate_vertices` by testing all n * 2**(n-1) bound
+    patterns, in ``itertools.product`` order, with the same leaf test, snap,
+    dedupe key, sorted output and errors.  Test oracle for the pruned search.
+    """
+    n = len(ibs.entries)
+    if n > MAX_VERTEX_DIM:
+        raise IvbelError(
+            f"vertex enumeration refused: {n} focal sets (max {MAX_VERTEX_DIM})"
+        )
+    lo = ibs.lower_bounds
+    hi = ibs.upper_bounds
+    found: dict[tuple[float, ...], tuple[float, ...]] = {}
+
+    for free in range(n):
+        others = [i for i in range(n) if i != free]
+        for pattern in itertools.product((0, 1), repeat=n - 1):
+            fixed = [hi[i] if up else lo[i] for i, up in zip(others, pattern)]
+            residual = 1.0 - math.fsum(fixed)
+            if lo[free] - MASS_SUM_TOL <= residual <= hi[free] + MASS_SUM_TOL:
+                if abs(residual - lo[free]) <= MASS_SUM_TOL:
+                    residual = lo[free]
+                elif abs(residual - hi[free]) <= MASS_SUM_TOL:
+                    residual = hi[free]
+                vec = tuple(fixed[:free] + [residual] + fixed[free:])
+                found.setdefault(tuple(round(v, _DEDUPE_DECIMALS) for v in vec), vec)
+
+    if not found:
+        raise IvbelError("structure has no feasible mass assignment")
+    return tuple(sorted(found.values()))
 
 
 _GRID_MAX_SETS = 5

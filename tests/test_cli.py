@@ -289,6 +289,8 @@ class TestCombine:
         "method, m1, m2",
         [
             ("denoeux", {"A": 1.0}, {"B": 1.0}),
+            # {B} meets {B}, but only with zero mass.
+            ("denoeux", {"A": 1.0, "B": 0.0}, {"B": 1.0}),
             ("dempster", {"A": 1.0}, {"B": 1.0 - 5e-10}),
             ("proposed", {"A": 1.0}, {"B": 1.0 - 5e-10}),
             # The second BPA sums to 1 + 2^-30 and K accumulates to 1.0.
@@ -301,7 +303,10 @@ class TestCombine:
                 for method in ("dempster", "proposed")
             ),
         ],
-        ids=["denoeux", "dempster-short", "proposed-short", "dempster-K=1", "proposed-K=1"],
+        ids=[
+            "denoeux", "denoeux-zero-target", "dempster-short", "proposed-short",
+            "dempster-K=1", "proposed-K=1",
+        ],
     )
     def test_total_conflict_exits_2(self, capsys, tmp_path, method, m1, m2):
         data = {

@@ -77,6 +77,19 @@ class TestDempster:
             with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
                 dempster_combine(b1, b2)
 
+    def test_near_total_conflict_sums_to_one(self):
+        # Surviving mass x * y is 1e-12..4e-12, so 1 - K carries a relative
+        # rounding error near 1e-4; scaling by the exact surviving mass keeps
+        # the combined BPA summing to one.
+        rng = random.Random("near-total-conflict")
+        for _ in range(5):
+            x, y = rng.uniform(1e-6, 2e-6), rng.uniform(1e-6, 2e-6)
+            b1 = bpa({("A",): 1.0 - x, ("C",): x})
+            b2 = bpa({("B",): 1.0 - y, ("C",): y})
+            combined, diag = dempster_combine(b1, b2)
+            assert diag.combinable
+            assert combined.mass(FRAME.singleton("C")) == pytest.approx(1.0, abs=1e-15)
+
     def test_vacuous_is_neutral(self):
         b = bpa({("A",): 0.6, ("B", "C"): 0.4})
         vacuous = bpa({("A", "B", "C"): 1.0})

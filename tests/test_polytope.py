@@ -1,5 +1,6 @@
 """Vertex enumeration of the feasible mass polytope."""
 
+import gc
 import math
 import random
 
@@ -8,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivbel import Frame, IntervalBeliefStructure, IvbelError, contains, enumerate_vertices
+from ivbel.core import MASS_SUM_TOL
 
-from helpers import FRAME3, random_valid_ibs
+from helpers import (
+    FRAME3,
+    brute_force_vertices,
+    random_aligned_ibs,
+    random_box_ibs,
+    random_normalized_ibs,
+    random_valid_ibs,
+)
 
 FRAME2 = Frame(("A", "B"))
 
@@ -78,19 +87,117 @@ class TestThreeSets:
         assert enumerate_vertices(ibs) == ((0.2, 0.3, 0.5),)
 
 
+def _outcome(scan, ibs):
+    try:
+        return scan(ibs)
+    except IvbelError as exc:
+        return str(exc)
+
+
+def _equal_boxes(n):
+    labels = tuple(f"E{i}" for i in range(n))
+    return IntervalBeliefStructure.from_mapping(
+        Frame(labels), {(label,): (0.0, 2.0 / n) for label in labels}
+    )
+
+
+def _over_cap():
+    """31 focal sets: the 16 singletons and 15 adjacent pairs."""
+    labels = tuple(f"E{i}" for i in range(16))
+    sets = {}
+    for i in range(16):
+        sets[(labels[i],)] = (0.0, 1.0)
+    for i in range(15):
+        sets[(labels[i], labels[i + 1])] = (0.0, 1.0)
+    assert len(sets) == 31
+    return IntervalBeliefStructure.from_mapping(Frame(labels), sets)
+
+
+class TestAgainstBruteForce:
+    """The pruned search returns exactly the floats, order and errors of the
+    scan over all n * 2**(n-1) bound patterns."""
+
+    @pytest.mark.parametrize(
+        "draw", [random_valid_ibs, random_normalized_ibs, random_aligned_ibs]
+    )
+    def test_random_small_bodies(self, draw):
+        for seed in range(300):
+            ibs = draw(random.Random(seed))
+            assert enumerate_vertices(ibs) == brute_force_vertices(ibs)
+
+    @pytest.mark.parametrize("width", [0.4, 0.7, 1.0])
+    def test_wide_frame_bodies(self, width):
+        rng = random.Random(f"box:{width}")
+        for n in (8, 9, 10, 11, 12) * 2:
+            ibs = random_box_ibs(rng, n, width)
+            vertices = enumerate_vertices(ibs)
+            assert len(vertices) > n
+            assert vertices == brute_force_vertices(ibs)
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_equal_boxes(self, n):
+        # Every vertex puts n/2 coordinates at 2/n and the rest at 0, so each
+        # is reached from all n free coordinates and deduped.
+        vertices = enumerate_vertices(_equal_boxes(n))
+        assert len(vertices) == math.comb(n, n // 2)
+        assert vertices == brute_force_vertices(_equal_boxes(n))
+
+    def test_first_pattern_represents_a_vertex(self):
+        # X and Y are 4e-14 wide, so all four patterns of Z's residual give
+        # one vertex after the 12-decimal dedupe; lower bounds come first.
+        ibs = IntervalBeliefStructure.from_mapping(
+            FRAME3, {("X",): (0.2, 0.2 + 4e-14), ("Y",): (0.3, 0.3 + 4e-14), ("Z",): (0.0, 1.0)}
+        )
+        assert enumerate_vertices(ibs) == ((0.2, 0.3, 1.0 - math.fsum([0.2, 0.3])),)
+        assert enumerate_vertices(ibs) == brute_force_vertices(ibs)
+
+    def test_errors(self):
+        for ibs in (ibs2(0.0, 0.1, 0.0, 0.2), ibs2(0.6, 0.7, 0.5, 0.6), _over_cap()):
+            message = _outcome(brute_force_vertices, ibs)
+            assert isinstance(message, str)
+            assert _outcome(enumerate_vertices, ibs) == message
+
+
+class TestPruningEdge:
+    """Pruning must keep a pattern whose residual sits exactly on the edge of
+    the acceptance window, ``lo - MASS_SUM_TOL`` or ``hi + MASS_SUM_TOL``.
+    X and Y are point masses and Z absorbs the residual.  The values were
+    chosen so that a search pruned at the bare window, or at the acceptance
+    window without slack, returns no vertex at all."""
+
+    @staticmethod
+    def body(a, b, z_lo, z_hi):
+        return IntervalBeliefStructure.from_mapping(
+            FRAME3, {("X",): (a, a), ("Y",): (b, b), ("Z",): (z_lo, z_hi)}
+        )
+
+    @pytest.mark.parametrize(
+        "a, b, edge, bound",
+        [(0.1138, 0.1105, "lo", 0.775700001), (0.11, 0.101, "hi", 0.788999999)],
+        ids=["lo-edge", "hi-edge"],
+    )
+    def test_edge_residual_is_kept(self, a, b, edge, bound):
+        residual = 1.0 - math.fsum([a, b])
+        if edge == "lo":
+            beyond = math.nextafter(bound, 1.0)
+            assert residual == bound - MASS_SUM_TOL < beyond - MASS_SUM_TOL
+            ibs, outside = self.body(a, b, bound, 1.0), self.body(a, b, beyond, 1.0)
+        else:
+            beyond = math.nextafter(bound, 0.0)
+            assert residual == bound + MASS_SUM_TOL > beyond + MASS_SUM_TOL
+            ibs, outside = self.body(a, b, 0.0, bound), self.body(a, b, 0.0, beyond)
+        assert enumerate_vertices(ibs) == ((a, b, bound),)
+        assert enumerate_vertices(ibs) == brute_force_vertices(ibs)
+        # One float further out, the residual leaves the window.
+        with pytest.raises(IvbelError, match="no feasible mass assignment"):
+            enumerate_vertices(outside)
+        assert _outcome(brute_force_vertices, outside) == _outcome(enumerate_vertices, outside)
+
+
 class TestLimitsAndContains:
     def test_dimension_cap(self):
-        labels = tuple(f"E{i}" for i in range(16))
-        frame = Frame(labels)
-        sets = {}
-        for i in range(16):
-            sets[(labels[i],)] = (0.0, 1.0)
-        for i in range(15):
-            sets[(labels[i], labels[i + 1])] = (0.0, 1.0)
-        assert len(sets) == 31
-        ibs = IntervalBeliefStructure.from_mapping(frame, sets)
         with pytest.raises(IvbelError, match="vertex enumeration refused: 31"):
-            enumerate_vertices(ibs)
+            enumerate_vertices(_over_cap())
 
     def test_contains(self):
         ibs = ibs2(0.2, 0.6, 0.3, 0.9)
@@ -142,3 +249,16 @@ class TestVertexProperties:
             for i in range(len(ibs.entries))
         )
         assert contains(ibs, point, tol=1e-7)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # A search that kept its vertex dict in a cycle (a recursive closure,
+    # say) would hold every call's vertices until the cyclic collector ran.
+    ibs = random_box_ibs(random.Random("cycles"), 10, 0.7)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_vertices(ibs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -183,6 +183,18 @@ class TestDenoeux:
         with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
             denoeux_normalize(raw)
 
+    def test_total_conflict_with_a_zero_target(self):
+        # {B} meets {B}, but only with zero mass: every unit of mass conflicts.
+        b1 = IntervalBeliefStructure.from_mapping(FRAME, {("A",): (1.0, 1.0), ("B",): (0.0, 0.0)})
+        b2 = IntervalBeliefStructure.from_mapping(FRAME, {("B",): (1.0, 1.0)})
+        raw = denoeux_combine(b1, b2)
+        assert raw.entries == ((FRAME.singleton("B"), 0.0, 0.0),)
+        assert raw.includes_empty == (1.0, 1.0)
+        with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
+            denoeux_normalize(raw)
+        with pytest.raises(TotalConflictError, match="not combinable: all vertex tuples"):
+            wang_combine([b1, b2])
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_bounds_contain_sampled_products(self, seed):
@@ -270,6 +282,25 @@ class TestWang:
         ((fs, lo, hi),) = out.entries
         assert fs == FRAME.singleton("B")
         assert lo == hi == pytest.approx(1.0, abs=MASS_SUM_TOL)
+
+    def test_near_total_conflict_stays_normalized(self):
+        # Surviving mass x * y is 1e-12..4e-12, where 1 - K is off by about
+        # 1e-4 relative: the ratio must be scaled by the surviving mass, as
+        # dempster_combine does.
+        rng = random.Random("near-total-conflict")
+        for _ in range(5):
+            x, y = rng.uniform(1e-6, 2e-6), rng.uniform(1e-6, 2e-6)
+            ibs1 = IntervalBeliefStructure.from_mapping(
+                FRAME, {("A",): (1.0 - x, 1.0 - x), ("C",): (x, x)}
+            )
+            ibs2 = IntervalBeliefStructure.from_mapping(
+                FRAME, {("B",): (1.0 - y, 1.0 - y), ("C",): (y, y)}
+            )
+            out = wang_combine((ibs1, ibs2))
+            assert out.normalized
+            ((fs, lo, hi),) = out.entries
+            assert fs == FRAME.singleton("C")
+            assert lo == hi == pytest.approx(1.0, abs=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
