@@ -32,8 +32,10 @@ __all__ = [
     "entropy_bounds",
 ]
 
-# Vertices whose entropy is within this of the minimum count as tied; the
-# lexicographically first vertex is kept.
+# Vertices whose entropy is at most the minimum plus this count as tied, and
+# the lexicographically first of them is the witness.  The rule reads only the
+# minimum, not the order vertices are scored in, so a search that skips
+# vertices gives the same witness and tie count.
 MIN_TIE_TOL = 1e-10
 # _greedy_linear: keys within _KEY_TIE_TOL form one group, and a residual or
 # headroom below _FILL_EPS counts as spent.  Neither is MASS_DROP_EPS: the
@@ -49,9 +51,13 @@ _INVERSION_TOL = 1e-9
 class EntropyBoundsSolution:
     """Entropy bounds with the witnessing assignments.
 
-    ``min_tie_count`` is the number of polytope vertices whose entropy lies
-    within :data:`MIN_TIE_TOL` of the minimum (1 when the minimizer is
-    unique or the measure is linear).
+    ``min_tie_count`` is the number of polytope vertices whose entropy is at
+    most ``h_min + MIN_TIE_TOL`` (1 when the minimizer is unique or the
+    measure is linear), and ``m_min`` is the lexicographically first of them.
+    ``h_min`` is the minimum over all vertices, so which vertices tie does
+    not depend on the order they are found in; before this rule the witness
+    was chosen during a scan and, for values spread over more than
+    :data:`MIN_TIE_TOL`, could depend on the scan order.
     """
 
     measure_id: str
@@ -158,12 +164,9 @@ def _min_vec(
         return _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=False), 1
     vertices = enumerate_vertices(ibs)
     values = [entropy_from_profile(vec, profile) for vec in vertices]
-    best = 0
-    for i, h in enumerate(values):
-        if h < values[best] - MIN_TIE_TOL:
-            best = i
-    ties = sum(1 for h in values if h <= values[best] + MIN_TIE_TOL)
-    return vertices[best], ties
+    floor = min(values) + MIN_TIE_TOL
+    tied = [vec for vec, h in zip(vertices, values) if h <= floor]
+    return tied[0], len(tied)
 
 
 def max_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bpa:
@@ -177,9 +180,10 @@ def min_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bp
     """The feasible BPA minimizing a separable measure.  Requires a
     normalized structure.
 
-    For strictly concave measures the minimum sits at a polytope vertex;
-    vertices tying within :data:`MIN_TIE_TOL` are resolved in favor of the
-    lexicographically first mass vector.
+    For strictly concave measures the minimum sits at a polytope vertex.
+    Every vertex whose entropy is at most the minimum plus
+    :data:`MIN_TIE_TOL` ties, and the lexicographically first tied mass
+    vector is returned, whatever order the vertices are found in.
     """
     meas, profile = _prepare(ibs, m)
     masses, _ = _min_vec(ibs, meas, profile)
