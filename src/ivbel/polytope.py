@@ -89,12 +89,14 @@ def enumerate_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...],
                 continue
             # A residual within MASS_SUM_TOL of a bound snaps to it, so a
             # vertex with every coordinate at a bound has the same floats
-            # whichever one is free.
+            # whichever one is free.  The snap compares rounded sums, as the
+            # acceptance test does, so no accepted residual is left outside
+            # the box.
             residual = 1.0 - math.fsum(fixed)
             if lo[free] - MASS_SUM_TOL <= residual <= hi[free] + MASS_SUM_TOL:
-                if abs(residual - lo[free]) <= MASS_SUM_TOL:
+                if residual <= lo[free] + MASS_SUM_TOL:
                     residual = lo[free]
-                elif abs(residual - hi[free]) <= MASS_SUM_TOL:
+                elif residual >= hi[free] - MASS_SUM_TOL:
                     residual = hi[free]
                 vec = tuple(fixed[:free] + [residual] + fixed[free:])
                 found.setdefault(tuple(round(v, _DEDUPE_DECIMALS) for v in vec), vec)

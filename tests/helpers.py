@@ -178,9 +178,9 @@ def brute_force_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...
             fixed = [hi[i] if up else lo[i] for i, up in zip(others, pattern)]
             residual = 1.0 - math.fsum(fixed)
             if lo[free] - MASS_SUM_TOL <= residual <= hi[free] + MASS_SUM_TOL:
-                if abs(residual - lo[free]) <= MASS_SUM_TOL:
+                if residual <= lo[free] + MASS_SUM_TOL:
                     residual = lo[free]
-                elif abs(residual - hi[free]) <= MASS_SUM_TOL:
+                elif residual >= hi[free] - MASS_SUM_TOL:
                     residual = hi[free]
                 vec = tuple(fixed[:free] + [residual] + fixed[free:])
                 found.setdefault(tuple(round(v, _DEDUPE_DECIMALS) for v in vec), vec)

@@ -194,6 +194,33 @@ class TestPruningEdge:
         assert _outcome(brute_force_vertices, outside) == _outcome(enumerate_vertices, outside)
 
 
+class TestSnapEdge:
+    """A residual accepted at the float edge of the window, where it is
+    beyond the bound by a hair more than MASS_SUM_TOL, still snaps to the
+    bound: the body has one feasible point, not two 1e-9 apart."""
+
+    FRAME4 = Frame(("X", "Y", "Z", "W"))
+
+    @pytest.mark.parametrize(
+        "x, y, z, w_lo, w_hi, edge",
+        [
+            (0.2128982, 0.1, 0.2733292606394, 0.11377253836059997, 0.41377253836059996, "hi"),
+            (0.2128982, 0.2471808, 0.0734648966936, 0.4664561043064, 0.7664561043064, "lo"),
+        ],
+        ids=["hi-edge", "lo-edge"],
+    )
+    def test_edge_residual_snaps(self, x, y, z, w_lo, w_hi, edge):
+        residual = 1.0 - math.fsum([x, y, z])
+        bound = w_hi if edge == "hi" else w_lo
+        assert abs(residual - bound) > MASS_SUM_TOL
+        assert w_lo - MASS_SUM_TOL <= residual <= w_hi + MASS_SUM_TOL
+        ibs = IntervalBeliefStructure.from_mapping(
+            self.FRAME4, {("X",): (x, x), ("Y",): (y, y), ("Z",): (z, z), ("W",): (w_lo, w_hi)}
+        )
+        assert enumerate_vertices(ibs) == ((x, y, z, bound),)
+        assert brute_force_vertices(ibs) == ((x, y, z, bound),)
+
+
 class TestLimitsAndContains:
     def test_dimension_cap(self):
         with pytest.raises(IvbelError, match="vertex enumeration refused: 31"):
