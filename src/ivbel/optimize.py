@@ -7,7 +7,9 @@ bounds over the feasible polytope are computed exactly:
   by water-filling (each mass is ``clamp(w_A * c, lo_A, hi_A)`` with
   ``w_A = 2**k_A`` and a common level ``c`` solved exactly on the linear
   segment between breakpoints where the clamped sum reaches one), while the
-  minimum is attained at a vertex and found by scanning all vertices.
+  minimum is attained at a vertex and found by a bounded search over the
+  vertices that skips every branch unable to tie it
+  (:func:`~ivbel.polytope.enumerate_vertices` with the measure's profile).
 * ``beta = 0``: H is linear; both extrema are reached by greedily assigning
   the residual mass above the lower bounds in weight order, splitting the
   residual equally within groups of equal weight.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .core import MASS_SUM_TOL, Bpa, IntervalBeliefStructure, IvbelError, is_normalized
 from .entropy import EntropyMeasure, entropy_from_profile, measure, separable_profile
-from .polytope import enumerate_vertices
+from .polytope import MIN_TIE_TOL, enumerate_vertices
 
 __all__ = [
     "EntropyBoundsSolution",
@@ -32,11 +34,6 @@ __all__ = [
     "entropy_bounds",
 ]
 
-# Vertices whose entropy is at most the minimum plus this count as tied, and
-# the lexicographically first of them is the witness.  The rule reads only the
-# minimum, not the order vertices are scored in, so a search that skips
-# vertices gives the same witness and tie count.
-MIN_TIE_TOL = 1e-10
 # _greedy_linear: keys within _KEY_TIE_TOL form one group, and a residual or
 # headroom below _FILL_EPS counts as spent.  Neither is MASS_DROP_EPS: the
 # first compares objective keys, not masses, and the second must stay near
@@ -51,13 +48,12 @@ _INVERSION_TOL = 1e-9
 class EntropyBoundsSolution:
     """Entropy bounds with the witnessing assignments.
 
-    ``min_tie_count`` is the number of polytope vertices whose entropy is at
-    most ``h_min + MIN_TIE_TOL`` (1 when the minimizer is unique or the
-    measure is linear), and ``m_min`` is the lexicographically first of them.
-    ``h_min`` is the minimum over all vertices, so which vertices tie does
-    not depend on the order they are found in; before this rule the witness
-    was chosen during a scan and, for values spread over more than
-    :data:`MIN_TIE_TOL`, could depend on the scan order.
+    ``m_min`` is the lexicographically first polytope vertex whose entropy
+    is at most the least vertex entropy plus :data:`MIN_TIE_TOL`, and
+    ``min_tie_count`` the number of such vertices (1 when the minimizer is
+    unique or the measure is linear).  The rule reads only the least value,
+    not the order vertices are visited in; at the tolerance scale this
+    differs from the earlier rule, which picked the witness during a scan.
     """
 
     measure_id: str
@@ -162,10 +158,7 @@ def _min_vec(
     if meas.beta == 0.0:
         keys = tuple(k for k, _ in profile)
         return _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=False), 1
-    vertices = enumerate_vertices(ibs)
-    values = [entropy_from_profile(vec, profile) for vec in vertices]
-    floor = min(values) + MIN_TIE_TOL
-    tied = [vec for vec, h in zip(vertices, values) if h <= floor]
+    tied = enumerate_vertices(ibs, profile)
     return tied[0], len(tied)
 
 

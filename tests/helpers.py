@@ -21,8 +21,8 @@ from ivbel import (
     normalize,
 )
 from ivbel.core import MASS_SUM_TOL
-from ivbel.entropy import separable_profile
-from ivbel.polytope import _DEDUPE_DECIMALS, MAX_VERTEX_DIM
+from ivbel.entropy import entropy_from_profile, separable_profile
+from ivbel.polytope import _DEDUPE_DECIMALS, MAX_VERTEX_DIM, MIN_TIE_TOL
 
 FRAME3 = Frame(("X", "Y", "Z"))
 
@@ -188,6 +188,19 @@ def brute_force_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...
     if not found:
         raise IvbelError("structure has no feasible mass assignment")
     return tuple(sorted(found.values()))
+
+
+def brute_force_ties(
+    ibs: IntervalBeliefStructure, profile: tuple[tuple[float, float], ...]
+) -> tuple[tuple[float, ...], ...]:
+    """:func:`ivbel.enumerate_vertices` with an objective, by the order-free
+    tie rule over :func:`brute_force_vertices`: every vertex whose
+    ``entropy_from_profile`` value is at most the least one plus
+    ``MIN_TIE_TOL``, in lexicographic order."""
+    vertices = brute_force_vertices(ibs)
+    values = [entropy_from_profile(v, profile) for v in vertices]
+    floor = min(values) + MIN_TIE_TOL
+    return tuple(v for v, h in zip(vertices, values) if h <= floor)
 
 
 _GRID_MAX_SETS = 5

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from ivbel import (
     SEPARABLE_MEASURE_IDS,
+    Bpa,
+    FocalSet,
     Frame,
     IntervalBeliefStructure,
     IvbelError,
     entropy,
     entropy_bounds,
+    is_normalized,
     max_entropy_bpa,
     min_entropy_bpa,
     normalize,
@@ -26,10 +29,13 @@ from ivbel.reproduce import load_bundled
 
 from helpers import (
     FRAME3,
+    brute_force_ties,
     grid_oracle,
     random_aligned_ibs,
+    random_box_ibs,
     random_normalized_ibs,
     random_point_in,
+    random_valid_ibs,
 )
 
 CONCAVE_IDS = tuple(m for m in SEPARABLE_MEASURE_IDS if m != "dubois-prade")
@@ -219,3 +225,73 @@ class TestGridOracle:
         assert g_min == pytest.approx(
             -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75)), abs=1e-12
         )
+
+
+def _equal_boxes(n):
+    labels = tuple(f"E{i}" for i in range(n))
+    return IntervalBeliefStructure.from_mapping(
+        Frame(labels), {(label,): (0.0, 2.0 / n) for label in labels}
+    )
+
+
+def _unit_boxes(n):
+    """``n`` focal sets on a 5-element frame, each bounded by [0, 1]."""
+    frame = Frame(("a", "b", "c", "d", "e"))
+    return IntervalBeliefStructure(
+        frame, tuple((FocalSet(bits), 0.0, 1.0) for bits in range(1, n + 1))
+    )
+
+
+class TestBoundedMinimum:
+    """The bounded search gives the order-free tie rule applied to the
+    brute-force vertex list: h* is the least entropy_from_profile value, the
+    witness is the lexicographically first vertex with h <= h* + MIN_TIE_TOL
+    and min_tie_count counts those vertices."""
+
+    @staticmethod
+    def check(ibs):
+        for mid in CONCAVE_IDS:
+            profile = separable_profile(mid, ibs.focal_sets, ibs.frame)
+            tied = brute_force_ties(ibs, profile)
+            assert enumerate_vertices(ibs, profile) == tied
+            if is_normalized(ibs):
+                sol = entropy_bounds(ibs, mid)
+                assert sol.m_min == Bpa(ibs.frame, tuple(zip(ibs.focal_sets, tied[0])))
+                assert sol.h_min == entropy_from_profile(tied[0], profile)
+                assert sol.min_tie_count == len(tied)
+
+    @pytest.mark.parametrize(
+        "draw", [random_valid_ibs, random_normalized_ibs, random_aligned_ibs]
+    )
+    def test_random_small_bodies(self, draw):
+        for seed in range(200):
+            self.check(draw(random.Random(seed)))
+
+    @pytest.mark.parametrize("width", [0.4, 0.7, 1.0])
+    def test_wide_frame_bodies(self, width):
+        rng = random.Random(f"bounded:{width}")
+        for n in (8, 9, 10, 11, 12):
+            self.check(random_box_ibs(rng, n, width))
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_equal_boxes_all_tie(self, n):
+        # Every vertex has the same entropy, so no branch can be cut.
+        ibs = _equal_boxes(n)
+        self.check(ibs)
+        assert entropy_bounds(ibs, "pal").min_tie_count == math.comb(n, n // 2)
+
+    def test_bundled_bodies(self):
+        for name in ("example31", "example32", "example33", "example4", "example5", "example6"):
+            for _, body in load_bundled(name).bodies:
+                self.check(normalize(body))
+
+    def test_vertex_cap_still_refuses(self):
+        with pytest.raises(IvbelError, match="vertex enumeration refused: 25 focal sets"):
+            entropy_bounds(_unit_boxes(25), "pal")
+
+    def test_linear_measure_enumerates_nothing(self):
+        # dubois-prade is linear: greedy fills, no vertex list, so n = 31
+        # passes the cap that stops the concave measures.
+        sol = entropy_bounds(_unit_boxes(31), "dubois-prade")
+        assert sol.h_min == 0.0
+        assert sol.h_max == pytest.approx(math.log2(5))

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from ivbel import Frame, IntervalBeliefStructure, IvbelError, contains, enumerate_vertices
 from ivbel.core import MASS_SUM_TOL
+from ivbel.entropy import separable_profile
+from ivbel.polytope import MIN_TIE_TOL
 
 from helpers import (
     FRAME3,
+    brute_force_ties,
     brute_force_vertices,
     random_aligned_ibs,
     random_box_ibs,
@@ -21,6 +24,7 @@ from helpers import (
 )
 
 FRAME2 = Frame(("A", "B"))
+FRAME5 = Frame(("A", "B", "C", "D", "E"))
 
 
 def ibs2(a_lo, a_hi, b_lo, b_hi):
@@ -221,6 +225,63 @@ class TestSnapEdge:
         assert brute_force_vertices(ibs) == ((x, y, z, bound),)
 
 
+class TestObjectiveCut:
+    """Bodies built so that a cut one step too eager loses a tied vertex.
+    Linear terms (beta = 0) make every secant exact, so a branch's bound
+    can equal the value of its best vertex."""
+
+    FRAME4 = Frame(("X", "Y", "Z", "W"))
+
+    def test_vertices_within_the_tie_tolerance_are_kept(self):
+        # Z's weight puts the two vertices with Z = 0.5 at 5e-11 above the
+        # minimum 0: tied, though their branches' bounds exceed the minimum.
+        ibs = IntervalBeliefStructure.from_mapping(
+            FRAME3, {("X",): (0.0, 1.0), ("Y",): (0.0, 1.0), ("Z",): (0.0, 0.5)}
+        )
+        profile = ((0.0, 0.0), (0.0, 0.0), (1e-10, 0.0))
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+        assert len(enumerate_vertices(ibs, profile)) == 4
+
+    def test_vertex_on_the_tie_edge_survives_rounding(self):
+        # The vertex (0.25, 0.25, 0.25, 0.25) is worth exactly MIN_TIE_TOL
+        # (math.fsum), but its bound, summed plainly, rounds one float above.
+        ibs = IntervalBeliefStructure.from_mapping(
+            self.FRAME4,
+            {("X",): (0.0, 1.0), ("Y",): (0.0, 0.25), ("Z",): (0.0, 0.25), ("W",): (0.0, 0.25)},
+        )
+        profile = (
+            (0.0, 0.0),
+            (1.2983213559117614e-10, 0.0),
+            (1.3934295914085833e-10, 0.0),
+            (1.3082490526796555e-10, 0.0),
+        )
+        terms = [0.25 * k for k, _ in profile[1:]]
+        assert math.fsum(terms) == MIN_TIE_TOL < (terms[0] + terms[1]) + terms[2]
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+        assert enumerate_vertices(ibs, profile)[0] == (0.25, 0.25, 0.25, 0.25)
+
+    def test_snapped_vertex_is_kept(self):
+        # X is a point mass 5e-10 off the value that makes every vertex's
+        # residual land on a bound, so each vertex reached sums to 1 only
+        # within MASS_SUM_TOL.  Z and W tie under their equal steep weights;
+        # a bound taken on the plane sum = 1 rather than over the pruning
+        # window lies above the tied vertex with Z = 0.241709 and cuts it.
+        ibs = IntervalBeliefStructure.from_mapping(
+            FRAME5,
+            {
+                ("A",): (0.4199770005, 0.4199770005),
+                ("B",): (0.065142, 0.165142),
+                ("C",): (0.141709, 0.241709),
+                ("D",): (0.171135, 0.271135),
+                ("E",): (0.002037, 0.102037),
+            },
+        )
+        profile = ((100.0, 0.0), (100.0, 0.0), (-50.0, 0.0), (-50.0, 0.0), (-100.0, 0.0))
+        tied = brute_force_ties(ibs, profile)
+        assert len(tied) == 2
+        assert enumerate_vertices(ibs, profile) == tied
+
+
 class TestLimitsAndContains:
     def test_dimension_cap(self):
         with pytest.raises(IvbelError, match="vertex enumeration refused: 31"):
@@ -279,13 +340,15 @@ class TestVertexProperties:
 
 
 def test_enumeration_leaves_no_reference_cycles():
-    # A search that kept its vertex dict in a cycle (a recursive closure,
-    # say) would hold every call's vertices until the cyclic collector ran.
+    # A search that kept its vertex dict or its best value in a cycle (a
+    # recursive closure, say) would hold every call's vertices until the
+    # cyclic collector ran.  Checked with and without an objective.
     ibs = random_box_ibs(random.Random("cycles"), 10, 0.7)
-    gc.collect()
-    gc.disable()
-    try:
-        enumerate_vertices(ibs)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for profile in (None, separable_profile("pal", ibs.focal_sets, ibs.frame)):
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_vertices(ibs, profile)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
