@@ -95,7 +95,8 @@ def enumerate_vertices(
     lo = ibs.lower_bounds
     hi = ibs.upper_bounds
     found: dict[tuple[float, ...], tuple[float, ...]] = {}
-    if profile is not None:
+    bounded = profile is not None
+    if bounded:
         # Each term m*k - beta*m*log2(m) is concave, so its secant over
         # [lo, hi] lies below it there; lift is its rise over the interval.
         phi_lo = [m * k - beta * _xlog2(m) for m, (k, beta) in zip(lo, profile)]
@@ -130,7 +131,7 @@ def enumerate_vertices(
         fixed = [0.0] * depth
         partial = [0.0] * n  # partial[d] sums fixed[:d]
         tried = [0] * depth  # bounds tried at position d: 0, 1 (lower) or 2
-        if profile is not None:
+        if bounded:
             # At depth d the coordinates of rank >= d are open, and lifted[d]
             # sums every term at its lower bound plus the lifts of fixed[:d].
             rank = [depth] * n
@@ -145,13 +146,12 @@ def enumerate_vertices(
                     d -= 1
                     continue
                 i = others[d]
-                up = tried[d]
-                value = hi[i] if up else lo[i]
+                value = hi[i] if tried[d] else lo[i]
                 tried[d] += 1
                 t = partial[d] + value
                 if t + rest_lo[d + 1] <= most and t + rest_hi[d + 1] >= least:
-                    if profile is not None:
-                        lifted[d + 1] = lifted[d] + (lift[i] if up else 0.0)
+                    if bounded:
+                        lifted[d + 1] = lifted[d] + (lift[i] if tried[d] == 2 else 0.0)
                         extra = 1.0 - t - rest_lo[d + 1] - lo[free]
                         if _secant_bound(lifted[d + 1], extra, fill, rank, d + 1) > best + cut:
                             continue
@@ -171,17 +171,15 @@ def enumerate_vertices(
                     residual = hi[free]
                 vec = tuple(fixed[:free] + [residual] + fixed[free:])
                 key = tuple(round(v, _DEDUPE_DECIMALS) for v in vec)
-                if key not in found:
-                    found[key] = vec
-                    if profile is not None:
-                        scores[vec] = entropy_from_profile(vec, profile)
-                        best = min(best, scores[vec])
+                if found.setdefault(key, vec) is vec and bounded:
+                    scores[vec] = entropy_from_profile(vec, profile)
+                    best = min(best, scores[vec])
             d -= 1
 
     if not found:
         raise IvbelError("structure has no feasible mass assignment")
     vertices = sorted(found.values())
-    if profile is not None:
+    if bounded:
         vertices = [vec for vec in vertices if scores[vec] <= best + MIN_TIE_TOL]
     return tuple(vertices)
 

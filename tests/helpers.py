@@ -121,6 +121,15 @@ def random_box_ibs(rng: random.Random, n: int, width: float) -> IntervalBeliefSt
     )
 
 
+def equal_boxes(n: int) -> IntervalBeliefStructure:
+    """``n`` singletons bounded by [0, 2/n]: C(n, n/2) vertices, each with
+    every coordinate at a bound and all of equal entropy."""
+    labels = tuple(f"E{i}" for i in range(n))
+    return IntervalBeliefStructure.from_mapping(
+        Frame(labels), {(label,): (0.0, 2.0 / n) for label in labels}
+    )
+
+
 def random_aligned_general_ibs(
     rng: random.Random, step: float = 0.005
 ) -> IntervalBeliefStructure:

@@ -30,6 +30,7 @@ from ivbel.reproduce import load_bundled
 from helpers import (
     FRAME3,
     brute_force_ties,
+    equal_boxes,
     grid_oracle,
     random_aligned_ibs,
     random_box_ibs,
@@ -227,13 +228,6 @@ class TestGridOracle:
         )
 
 
-def _equal_boxes(n):
-    labels = tuple(f"E{i}" for i in range(n))
-    return IntervalBeliefStructure.from_mapping(
-        Frame(labels), {(label,): (0.0, 2.0 / n) for label in labels}
-    )
-
-
 def _unit_boxes(n):
     """``n`` focal sets on a 5-element frame, each bounded by [0, 1]."""
     frame = Frame(("a", "b", "c", "d", "e"))
@@ -276,7 +270,7 @@ class TestBoundedMinimum:
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_equal_boxes_all_tie(self, n):
         # Every vertex has the same entropy, so no branch can be cut.
-        ibs = _equal_boxes(n)
+        ibs = equal_boxes(n)
         self.check(ibs)
         assert entropy_bounds(ibs, "pal").min_tie_count == math.comb(n, n // 2)
 

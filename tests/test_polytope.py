@@ -17,6 +17,7 @@ from helpers import (
     FRAME3,
     brute_force_ties,
     brute_force_vertices,
+    equal_boxes,
     random_aligned_ibs,
     random_box_ibs,
     random_normalized_ibs,
@@ -24,6 +25,7 @@ from helpers import (
 )
 
 FRAME2 = Frame(("A", "B"))
+FRAME4 = Frame(("X", "Y", "Z", "W"))
 FRAME5 = Frame(("A", "B", "C", "D", "E"))
 
 
@@ -98,13 +100,6 @@ def _outcome(scan, ibs):
         return str(exc)
 
 
-def _equal_boxes(n):
-    labels = tuple(f"E{i}" for i in range(n))
-    return IntervalBeliefStructure.from_mapping(
-        Frame(labels), {(label,): (0.0, 2.0 / n) for label in labels}
-    )
-
-
 def _over_cap():
     """31 focal sets: the 16 singletons and 15 adjacent pairs."""
     labels = tuple(f"E{i}" for i in range(16))
@@ -142,9 +137,9 @@ class TestAgainstBruteForce:
     def test_equal_boxes(self, n):
         # Every vertex puts n/2 coordinates at 2/n and the rest at 0, so each
         # is reached from all n free coordinates and deduped.
-        vertices = enumerate_vertices(_equal_boxes(n))
+        vertices = enumerate_vertices(equal_boxes(n))
         assert len(vertices) == math.comb(n, n // 2)
-        assert vertices == brute_force_vertices(_equal_boxes(n))
+        assert vertices == brute_force_vertices(equal_boxes(n))
 
     def test_first_pattern_represents_a_vertex(self):
         # X and Y are 4e-14 wide, so all four patterns of Z's residual give
@@ -203,8 +198,6 @@ class TestSnapEdge:
     beyond the bound by a hair more than MASS_SUM_TOL, still snaps to the
     bound: the body has one feasible point, not two 1e-9 apart."""
 
-    FRAME4 = Frame(("X", "Y", "Z", "W"))
-
     @pytest.mark.parametrize(
         "x, y, z, w_lo, w_hi, edge",
         [
@@ -219,7 +212,7 @@ class TestSnapEdge:
         assert abs(residual - bound) > MASS_SUM_TOL
         assert w_lo - MASS_SUM_TOL <= residual <= w_hi + MASS_SUM_TOL
         ibs = IntervalBeliefStructure.from_mapping(
-            self.FRAME4, {("X",): (x, x), ("Y",): (y, y), ("Z",): (z, z), ("W",): (w_lo, w_hi)}
+            FRAME4, {("X",): (x, x), ("Y",): (y, y), ("Z",): (z, z), ("W",): (w_lo, w_hi)}
         )
         assert enumerate_vertices(ibs) == ((x, y, z, bound),)
         assert brute_force_vertices(ibs) == ((x, y, z, bound),)
@@ -229,8 +222,6 @@ class TestObjectiveCut:
     """Bodies built so that a cut one step too eager loses a tied vertex.
     Linear terms (beta = 0) make every secant exact, so a branch's bound
     can equal the value of its best vertex."""
-
-    FRAME4 = Frame(("X", "Y", "Z", "W"))
 
     def test_vertices_within_the_tie_tolerance_are_kept(self):
         # Z's weight puts the two vertices with Z = 0.5 at 5e-11 above the
@@ -246,7 +237,7 @@ class TestObjectiveCut:
         # The vertex (0.25, 0.25, 0.25, 0.25) is worth exactly MIN_TIE_TOL
         # (math.fsum), but its bound, summed plainly, rounds one float above.
         ibs = IntervalBeliefStructure.from_mapping(
-            self.FRAME4,
+            FRAME4,
             {("X",): (0.0, 1.0), ("Y",): (0.0, 0.25), ("Z",): (0.0, 0.25), ("W",): (0.0, 0.25)},
         )
         profile = (
@@ -261,11 +252,11 @@ class TestObjectiveCut:
         assert enumerate_vertices(ibs, profile)[0] == (0.25, 0.25, 0.25, 0.25)
 
     def test_snapped_vertex_is_kept(self):
-        # X is a point mass 5e-10 off the value that makes every vertex's
-        # residual land on a bound, so each vertex reached sums to 1 only
-        # within MASS_SUM_TOL.  Z and W tie under their equal steep weights;
-        # a bound taken on the plane sum = 1 rather than over the pruning
-        # window lies above the tied vertex with Z = 0.241709 and cuts it.
+        # A is a point mass 5e-10 off the value that puts every vertex's
+        # residual on a bound, so each vertex sums to 1 only within
+        # MASS_SUM_TOL.  C and D tie under equal steep weights; a bound taken
+        # on the plane sum = 1 rather than over the pruning window lies above
+        # the tied vertex with C = 0.241709 and cuts it.
         ibs = IntervalBeliefStructure.from_mapping(
             FRAME5,
             {
