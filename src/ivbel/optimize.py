@@ -7,8 +7,7 @@ bounds over the feasible polytope are computed exactly:
   by water-filling (each mass is ``clamp(w_A * c, lo_A, hi_A)`` with
   ``w_A = 2**k_A`` and a common level ``c`` solved exactly on the linear
   segment between breakpoints where the clamped sum reaches one), while the
-  minimum is attained at a vertex and found by a bounded search over the
-  vertices that skips every branch unable to tie it
+  minimum is attained at a vertex and found by a bounded vertex search
   (:func:`~ivbel.polytope.enumerate_vertices` with the measure's profile).
 * ``beta = 0``: H is linear; both extrema are reached by greedily assigning
   the residual mass above the lower bounds in weight order, splitting the
@@ -52,8 +51,8 @@ class EntropyBoundsSolution:
     is at most the least vertex entropy plus :data:`MIN_TIE_TOL`, and
     ``min_tie_count`` the number of such vertices (1 when the minimizer is
     unique or the measure is linear).  The rule reads only the least value,
-    not the order vertices are visited in; at the tolerance scale this
-    differs from the earlier rule, which picked the witness during a scan.
+    not the visiting order (at the tolerance scale, a change from the
+    earlier rule, which picked the witness during a scan).
     """
 
     measure_id: str

@@ -24,6 +24,7 @@ from ivbel import (
 )
 from ivbel.entropy import entropy_from_profile, separable_profile
 from ivbel.optimize import water_fill
+from ivbel import polytope
 from ivbel.polytope import enumerate_vertices
 from ivbel.reproduce import load_bundled
 
@@ -278,6 +279,23 @@ class TestBoundedMinimum:
         for name in ("example31", "example32", "example33", "example4", "example5", "example6"):
             for _, body in load_bundled(name).bodies:
                 self.check(normalize(body))
+
+    def test_search_scores_few_vertices(self, monkeypatch):
+        # The cut is what makes the minimum cheap: on a body with 588
+        # vertices each measure scores a few dozen of them at most.
+        ibs = random_box_ibs(random.Random("cuts"), 12, 0.7)
+        vertices = enumerate_vertices(ibs)
+        scored = []
+
+        def counting(vec, profile):
+            scored.append(vec)
+            return entropy_from_profile(vec, profile)
+
+        monkeypatch.setattr(polytope, "entropy_from_profile", counting)
+        for mid in CONCAVE_IDS:
+            scored.clear()
+            enumerate_vertices(ibs, separable_profile(mid, ibs.focal_sets, ibs.frame))
+            assert 0 < len(scored) <= len(vertices) // 10
 
     def test_vertex_cap_still_refuses(self):
         with pytest.raises(IvbelError, match="vertex enumeration refused: 25 focal sets"):
