@@ -37,6 +37,7 @@ from .core import (
 )
 from .entropy import MEASURE_IDS, SEPARABLE_MEASURE_IDS, entropy, measure
 from .formats import (
+    FORMAT_VERSION,
     EvidenceFile,
     evidence_to_json,
     load_evidence,
@@ -58,7 +59,6 @@ from .reference import (
 from .reproduce import TARGETS, reproduce
 
 METHODS = ("proposed", "wang", "denoeux", "leezhu", "song", "dempster")
-FORMATS = ("table", "json", "csv")
 
 _TOLERANCE_FOOTER = (
     f"tolerances: mass sum {MASS_SUM_TOL:g}, zero drop {MASS_DROP_EPS:g}"
@@ -95,29 +95,30 @@ def _bpa_cells(bpa: Bpa) -> str:
     return ", ".join(f"{frame.format_set(fs)}={m:.4f}" for fs, m in bpa.entries)
 
 
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     ev = load_evidence(args.file)
-    rows = []
     results = []
     for name, body in ev.bodies:
         verdict = validate_ibs(body)
-        tight = bool(verdict) and is_normalized(body)
-        rows.append(
-            [name, "yes" if verdict else "no", "yes" if tight else "no", verdict.reason or ""]
-        )
         results.append(
             {
                 "name": name,
                 "valid": bool(verdict),
-                "normalized": tight,
+                "normalized": bool(verdict) and is_normalized(body),
                 "reason": verdict.reason,
             }
         )
     if args.format == "json":
-        _print_json({"format": 1, "command": "validate", "bodies": results})
-    elif args.format == "csv":
-        return _fail("csv output is not supported for validate")
+        _print_json({"format": FORMAT_VERSION, "command": "validate", "bodies": results})
     else:
+        rows = [
+            [r["name"], _yes_no(r["valid"]), _yes_no(r["normalized"]), r["reason"] or ""]
+            for r in results
+        ]
         print(render_table(["body", "valid", "normalized", "reason"], rows))
     return 0
 
@@ -182,7 +183,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(
             {
-                "format": 1,
+                "format": FORMAT_VERSION,
                 "command": "entropy",
                 "results": [
                     {"body": n, "measure": m, "h_min": lo, "h_max": hi}
@@ -191,8 +192,6 @@ def cmd_entropy(args: argparse.Namespace) -> int:
                 "notes": notes,
             }
         )
-    elif args.format == "csv":
-        return _fail("csv output is not supported for entropy")
     else:
         print(
             render_table(
@@ -347,7 +346,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(
             {
-                "format": 1,
+                "format": FORMAT_VERSION,
                 "command": "compare",
                 "results": {name: result_to_json(res) for name, res in columns},
                 "notes": notes,
@@ -389,7 +388,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(
             {
-                "format": 1,
+                "format": FORMAT_VERSION,
                 "command": "reproduce",
                 "targets": [
                     {
@@ -419,8 +418,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 ],
             }
         )
-    elif args.format == "csv":
-        return _fail("csv output is not supported for reproduce")
     else:
         for rep in reports:
             for line in rep.lines():
@@ -436,19 +433,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser, *choices: str) -> None:
         p.add_argument(
-            "--format", choices=FORMATS, default="table", help="output format"
+            "--format", choices=choices, default="table", help="output format"
         )
 
     p = sub.add_parser("validate", help="check validity and tightness of each body")
     p.add_argument("file", help="evidence file (JSON)")
-    add_format(p)
+    add_format(p, "table", "json")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("normalize", help="normalize every body in the file")
     p.add_argument("file", help="evidence file (JSON)")
-    add_format(p)
+    add_format(p, "table", "json", "csv")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("entropy", help="entropy bounds per body")
@@ -464,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="normalize bodies before computing bounds",
     )
-    add_format(p)
+    add_format(p, "table", "json")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("combine", help="combine all bodies with one engine")
@@ -485,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="normalize bodies before combining (leezhu always combines as given)",
     )
-    add_format(p)
+    add_format(p, "table", "json", "csv")
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("compare", help="run several engines side by side")
@@ -496,12 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="pal",
         help="entropy objective for the proposed column",
     )
-    add_format(p)
+    add_format(p, "table", "json", "csv")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("reproduce", help="recompute bundled reference values")
     p.add_argument("target", choices=TARGETS + ("all",))
-    add_format(p)
+    add_format(p, "table", "json")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -197,52 +197,10 @@ def _canonical_mass_entries(
         if mass <= MASS_DROP_EPS:
             continue
         out.append((FocalSet(bits), mass))
+    # Sorted by bits, so a kept empty set comes first.
+    if out and out[0][0].is_empty:
+        raise IvbelError("BPA cannot assign mass to the empty set")
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Bpa:
-    """A basic probability assignment: positive masses on non-empty focal
-    sets, summing to one within :data:`MASS_SUM_TOL`.
-
-    Entries are kept in canonical order (ascending bit value).  Instances are
-    immutable and safe to share across threads.
-    """
-
-    frame: Frame
-    entries: tuple[tuple[FocalSet, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _canonical_mass_entries(self.entries))
-        if not self.entries:
-            raise IvbelError("BPA must have at least one focal set with positive mass")
-        for fs, _ in self.entries:
-            if fs.is_empty:
-                raise IvbelError("BPA cannot assign mass to the empty set")
-            self.frame._check_subset(fs)
-        total = math.fsum(mass for _, mass in self.entries)
-        if abs(total - 1.0) > MASS_SUM_TOL:
-            raise IvbelError(f"BPA masses must sum to 1 within {MASS_SUM_TOL}, got {total!r}")
-
-    @classmethod
-    def from_mapping(
-        cls, frame: Frame, masses: Mapping[FocalSet | str | Iterable[str], float]
-    ) -> "Bpa":
-        return cls(frame, tuple((_coerce_set(frame, key), m) for key, m in masses.items()))
-
-    @cached_property
-    def _lookup(self) -> dict[int, float]:
-        return {fs.bits: mass for fs, mass in self.entries}
-
-    def mass(self, a: FocalSet) -> float:
-        return self._lookup.get(a.bits, 0.0)
-
-    @property
-    def focal_sets(self) -> tuple[FocalSet, ...]:
-        return tuple(fs for fs, _ in self.entries)
-
-    def __iter__(self) -> Iterator[tuple[FocalSet, float]]:
-        return iter(self.entries)
 
 
 def _canonical_interval_entries(
@@ -265,31 +223,69 @@ def _canonical_interval_entries(
 
 
 @dataclass(frozen=True)
-class _IntervalEntries:
-    """Distinct non-empty focal sets of one frame with ``[lo, hi]`` bounds,
-    kept in canonical order (ascending bit value)."""
+class _Entries:
+    """Distinct non-empty focal sets of one frame, each followed by its
+    values (a mass, or ``lo, hi`` bounds), in canonical order (ascending bit
+    value).  A subclass sets ``_canonical`` to the function that checks,
+    merges and sorts its raw entries."""
 
     frame: Frame
-    entries: tuple[tuple[FocalSet, float, float], ...]
+    entries: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _canonical_interval_entries(self.entries))
-        for fs, _, _ in self.entries:
-            self.frame._check_subset(fs)
+        object.__setattr__(self, "entries", self._canonical(self.entries))
+        for entry in self.entries:
+            self.frame._check_subset(entry[0])
 
     @cached_property
-    def _lookup(self) -> dict[int, tuple[float, float]]:
-        return {fs.bits: (lo, hi) for fs, lo, hi in self.entries}
-
-    def interval(self, a: FocalSet) -> tuple[float, float]:
-        return self._lookup.get(a.bits, (0.0, 0.0))
+    def _lookup(self) -> dict[int, tuple]:
+        return {entry[0].bits: entry[1:] for entry in self.entries}
 
     @property
     def focal_sets(self) -> tuple[FocalSet, ...]:
-        return tuple(fs for fs, _, _ in self.entries)
+        return tuple(entry[0] for entry in self.entries)
 
-    def __iter__(self) -> Iterator[tuple[FocalSet, float, float]]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
+
+
+@dataclass(frozen=True)
+class Bpa(_Entries):
+    """A basic probability assignment: positive masses on non-empty focal
+    sets, summing to one within :data:`MASS_SUM_TOL`.
+
+    Entries ``(FocalSet, mass)`` are kept in canonical order (ascending bit
+    value).  Instances are immutable and safe to share across threads.
+    """
+
+    _canonical = staticmethod(_canonical_mass_entries)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.entries:
+            raise IvbelError("BPA must have at least one focal set with positive mass")
+        total = math.fsum(mass for _, mass in self.entries)
+        if abs(total - 1.0) > MASS_SUM_TOL:
+            raise IvbelError(f"BPA masses must sum to 1 within {MASS_SUM_TOL}, got {total!r}")
+
+    @classmethod
+    def from_mapping(
+        cls, frame: Frame, masses: Mapping[FocalSet | str | Iterable[str], float]
+    ) -> "Bpa":
+        return cls(frame, tuple((_coerce_set(frame, key), m) for key, m in masses.items()))
+
+    def mass(self, a: FocalSet) -> float:
+        return self._lookup.get(a.bits, (0.0,))[0]
+
+
+@dataclass(frozen=True)
+class _IntervalEntries(_Entries):
+    """Entries ``(FocalSet, lo, hi)`` with ``0 <= lo <= hi <= 1``."""
+
+    _canonical = staticmethod(_canonical_interval_entries)
+
+    def interval(self, a: FocalSet) -> tuple[float, float]:
+        return self._lookup.get(a.bits, (0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -357,7 +353,7 @@ class IntervalMassResult(_IntervalEntries):
         return IntervalBeliefStructure(self.frame, self.entries)
 
 
-def _check_same_frame(bodies: Iterable[Bpa | _IntervalEntries]) -> None:
+def _check_same_frame(bodies: Iterable[_Entries]) -> None:
     if len({b.frame for b in bodies}) > 1:
         raise IvbelError("bodies must share one frame")
 

@@ -139,10 +139,8 @@ def entropy(m: str | EntropyMeasure, b: Bpa) -> float:
     """Evaluate an uncertainty measure on a BPA."""
     m = measure(m)
     if m.separable:
-        assert m.weight is not None
-        return math.fsum(
-            mass * m.weight(fs, b.frame) - m.beta * _xlog2(mass)
-            for fs, mass in b.entries
+        return entropy_from_profile(
+            (mass for _, mass in b.entries), separable_profile(m, b.focal_sets, b.frame)
         )
     assert m.evaluate is not None
     return m.evaluate(b)
@@ -168,8 +166,8 @@ def entropy_from_profile(
 ) -> float:
     """Evaluate ``sum_i m_i*k_i - beta_i*m_i*log2(m_i)`` on a raw mass vector.
 
-    Zero masses contribute nothing.  Used by the bound optimizer, which works
-    on vectors that may contain exact zeros.
+    Zero masses contribute nothing, so the bound optimizer can pass vectors
+    with exact zeros.  :func:`entropy` evaluates separable measures here too.
     """
     return math.fsum(
         m * k - beta * _xlog2(m) for m, (k, beta) in zip(masses, profile)

@@ -81,7 +81,9 @@ def _as_number(value: Any, where: str) -> float:
         where,
         f"expected a number, got {value!r}",
     )
-    _require(0.0 <= float(value) <= 1.0, where, f"value {value!r} outside [0, 1]")
+    # Compared before float(): an integer too large for a float is out of
+    # range, not an OverflowError.
+    _require(0.0 <= value <= 1.0, where, f"value {value!r} outside [0, 1]")
     return float(value)
 
 
@@ -192,12 +194,19 @@ def parse_evidence(data: Any) -> EvidenceFile:
 
 def load_evidence(path: str | Path) -> EvidenceFile:
     """Read and validate an evidence file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, nested too deeply, or an integer too long to convert.
+        raise SchemaError(f"{path}: unreadable JSON: {exc}") from None
     return parse_evidence(data)
+
+
+def _interval_items(frame: Frame, entries: Sequence[tuple]) -> list[dict]:
+    """``(FocalSet, lo, hi)`` entries as schema mass items."""
+    return [{"set": list(frame.members(fs)), "lo": lo, "hi": hi} for fs, lo, hi in entries]
 
 
 def evidence_to_json(ev: EvidenceFile) -> dict:
@@ -206,13 +215,7 @@ def evidence_to_json(ev: EvidenceFile) -> dict:
         "format": FORMAT_VERSION,
         "frame": list(ev.frame.labels),
         "bodies": [
-            {
-                "name": name,
-                "masses": [
-                    {"set": list(ev.frame.members(fs)), "lo": lo, "hi": hi}
-                    for fs, lo, hi in body.entries
-                ],
-            }
+            {"name": name, "masses": _interval_items(ev.frame, body.entries)}
             for name, body in ev.bodies
         ],
     }
@@ -223,10 +226,7 @@ def result_to_json(result: IntervalMassResult, method: str | None = None) -> dic
     data: dict[str, Any] = {
         "format": FORMAT_VERSION,
         "frame": list(result.frame.labels),
-        "entries": [
-            {"set": list(result.frame.members(fs)), "lo": lo, "hi": hi}
-            for fs, lo, hi in result.entries
-        ],
+        "entries": _interval_items(result.frame, result.entries),
         "empty": list(result.includes_empty) if result.includes_empty else None,
         "normalized": result.normalized,
     }

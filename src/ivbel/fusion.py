@@ -57,7 +57,6 @@ class CombinationReport:
     result: IntervalMassResult
     diagnostics: tuple[DempsterDiagnostics, ...] = ()
     intermediate_bpas: tuple[tuple[str, Bpa], ...] = ()
-    intermediate_results: tuple[tuple[str, IntervalMassResult], ...] = ()
     normalization_applied: bool = False
     notes: tuple[str, ...] = ()
 

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 from .core import MASS_SUM_TOL, Bpa, IntervalBeliefStructure, IvbelError, is_normalized
 from .entropy import EntropyMeasure, entropy_from_profile, measure, separable_profile
-from .polytope import MIN_TIE_TOL, enumerate_vertices
+from .polytope import enumerate_vertices
 
 __all__ = [
     "EntropyBoundsSolution",
-    "MIN_TIE_TOL",
     "water_fill",
     "max_entropy_bpa",
     "min_entropy_bpa",
@@ -48,11 +47,10 @@ class EntropyBoundsSolution:
     """Entropy bounds with the witnessing assignments.
 
     ``m_min`` is the lexicographically first polytope vertex whose entropy
-    is at most the least vertex entropy plus :data:`MIN_TIE_TOL`, and
-    ``min_tie_count`` the number of such vertices (1 when the minimizer is
-    unique or the measure is linear).  The rule reads only the least value,
-    not the visiting order (at the tolerance scale, a change from the
-    earlier rule, which picked the witness during a scan).
+    is at most the least vertex entropy plus
+    :data:`~ivbel.polytope.MIN_TIE_TOL`, and ``min_tie_count`` the number of
+    such vertices (1 when the minimizer is unique or the measure is linear).
+    The rule reads only the least value, not the visiting order.
     """
 
     measure_id: str
@@ -148,19 +146,6 @@ def _max_vec(
     return water_fill(ibs.lower_bounds, ibs.upper_bounds, weights)[0]
 
 
-def _min_vec(
-    ibs: IntervalBeliefStructure,
-    meas: EntropyMeasure,
-    profile: tuple[tuple[float, float], ...],
-) -> tuple[tuple[float, ...], int]:
-    """The minimizing mass vector and the number of vertices tied with it."""
-    if meas.beta == 0.0:
-        keys = tuple(k for k, _ in profile)
-        return _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=False), 1
-    tied = enumerate_vertices(ibs, profile)
-    return tied[0], len(tied)
-
-
 def max_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bpa:
     """The feasible BPA maximizing a separable measure.  Requires a
     normalized structure."""
@@ -172,14 +157,11 @@ def min_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bp
     """The feasible BPA minimizing a separable measure.  Requires a
     normalized structure.
 
-    For strictly concave measures the minimum sits at a polytope vertex.
-    Every vertex whose entropy is at most the minimum plus
-    :data:`MIN_TIE_TOL` ties, and the lexicographically first tied mass
-    vector is returned, whatever order the vertices are found in.
+    This is the ``m_min`` witness of :func:`entropy_bounds`: for strictly
+    concave measures, the lexicographically first polytope vertex tied for
+    the minimum.
     """
-    meas, profile = _prepare(ibs, m)
-    masses, _ = _min_vec(ibs, meas, profile)
-    return Bpa(ibs.frame, tuple(zip(ibs.focal_sets, masses)))
+    return entropy_bounds(ibs, m).m_min
 
 
 def entropy_bounds(
@@ -188,7 +170,13 @@ def entropy_bounds(
     """Exact entropy bounds with witnesses for a separable measure."""
     meas, profile = _prepare(ibs, m)
     max_vec = _max_vec(ibs, meas, profile)
-    min_vec, ties = _min_vec(ibs, meas, profile)
+    if meas.beta == 0.0:
+        keys = tuple(k for k, _ in profile)
+        min_vec = _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=False)
+        ties = 1
+    else:
+        tied = enumerate_vertices(ibs, profile)
+        min_vec, ties = tied[0], len(tied)
     h_max = entropy_from_profile(max_vec, profile)
     h_min = entropy_from_profile(min_vec, profile)
     if h_min > h_max + _INVERSION_TOL:

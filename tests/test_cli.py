@@ -1,12 +1,19 @@
 """Command-line interface: every command, output format, and exit code."""
 
+import argparse
 import json
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ivbel import __version__, parse_evidence, result_from_json
-from ivbel.cli import main
+from ivbel import __version__, cli, parse_evidence, result_from_json
+from ivbel.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def bundled(name: str) -> str:
@@ -65,6 +72,67 @@ class TestParser:
         assert exc.value.code == 2
 
 
+def _format_choices() -> dict[str, tuple[str, ...]]:
+    """Each subcommand's ``--format`` choices, as its parser lists them."""
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: next(a.choices for a in sub._actions if "--format" in a.option_strings)
+        for name, sub in commands.choices.items()
+    }
+
+
+FORMAT_CHOICES = _format_choices()
+
+
+def _command_argv(command: str) -> list[str]:
+    if command == "reproduce":
+        return ["reproduce", "example33"]
+    extra = ["--method", "proposed"] if command == "combine" else []
+    return [command, bundled("example4"), *extra]
+
+
+class TestFormatContract:
+    def test_every_command_and_its_formats(self):
+        assert FORMAT_CHOICES == {
+            "validate": ("table", "json"),
+            "normalize": ("table", "json", "csv"),
+            "entropy": ("table", "json"),
+            "combine": ("table", "json", "csv"),
+            "compare": ("table", "json", "csv"),
+            "reproduce": ("table", "json"),
+        }
+
+    @pytest.mark.parametrize(
+        "command,fmt", [(c, f) for c, formats in FORMAT_CHOICES.items() for f in formats]
+    )
+    def test_listed_format_renders(self, capsys, command, fmt):
+        rc, out, err = run(capsys, *_command_argv(command), "--format", fmt)
+        assert rc in ((0, 1) if command == "reproduce" else (0,))
+        assert out and not err
+
+    @pytest.mark.parametrize(
+        "command,fmt",
+        [
+            (c, f)
+            for c, formats in FORMAT_CHOICES.items()
+            for f in ("table", "json", "csv", "xml")
+            if f not in formats
+        ],
+    )
+    def test_other_format_refused_before_work(self, capsys, monkeypatch, command, fmt):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{command} ran with --format {fmt}")
+
+        monkeypatch.setattr(cli, "load_evidence", reached)
+        monkeypatch.setattr(cli, "reproduce", reached)
+        with pytest.raises(SystemExit) as exc:
+            main([*_command_argv(command), "--format", fmt])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{fmt}'" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_table(self, capsys):
         rc, out, _ = run(capsys, "validate", bundled("example31"))
@@ -81,11 +149,6 @@ class TestValidate:
         assert doc["command"] == "validate"
         assert [b["name"] for b in doc["bodies"]] == ["m1", "m2"]
         assert all(b["valid"] and not b["normalized"] for b in doc["bodies"])
-
-    def test_csv_unsupported(self, capsys):
-        rc, _, err = run(capsys, "validate", bundled("example31"), "--format", "csv")
-        assert rc == 2
-        assert "csv output is not supported for validate" in err
 
     def test_invalid_body_reported_not_fatal(self, capsys, tmp_path):
         data = {
@@ -106,6 +169,40 @@ class TestValidate:
         rc, _, err = run(capsys, "validate", "/nonexistent/evidence.json")
         assert rc == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"\xff\xfe{}", "{path}: unreadable JSON: 'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 200000, "{path}: unreadable JSON: maximum recursion depth exceeded"),
+            (
+                b'{"format": 1, "frame": ["A"], "bodies": [{"masses": '
+                b'[{"set": ["A"], "mass": ' + b"1" * 400 + b"}]}]}",
+                "$.bodies[0].masses[0].mass: value 111",
+            ),
+        ],
+        ids=["not-utf8", "nested-too-deeply", "int-beyond-float"],
+    )
+    def test_unreadable_file_is_an_input_error(self, capsys, tmp_path, content, message):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        rc, out, err = run(capsys, "validate", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and message.format(path=path) in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        content=st.binary()
+        | st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        ).map(lambda value: json.dumps(value).encode())
+    )
+    def test_any_file_exits_0_or_2(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "any.json")
+            path.write_bytes(content)
+            assert main(["validate", str(path)]) in (0, 2)
 
     def test_schema_error_is_an_engine_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -205,11 +302,6 @@ class TestEntropy:
         rc, _, err = run(capsys, "entropy", bundled("example5"), "--measure", "bogus")
         assert rc == 2
         assert "unknown measure id 'bogus'" in err
-
-    def test_csv_unsupported(self, capsys):
-        rc, _, err = run(capsys, "entropy", bundled("example5"), "--format", "csv")
-        assert rc == 2
-        assert "csv output is not supported for entropy" in err
 
 
 class TestCombine:
@@ -400,6 +492,27 @@ class TestCompare:
         assert methods == {"denoeux", "wang", "song", "proposed[pal]"}
 
 
+class TestReadme:
+    def test_quick_run_output(self, capsys):
+        """The README's quick-run output block holds, in order, in the real
+        output: a line ending in ``...`` is a prefix, a bare ``...`` a gap."""
+        text = README.read_text(encoding="utf-8")
+        command = "ivbel combine --method proposed --measure pal src/ivbel/data/example4.json"
+        after = text.split(f"```sh\n{command}\n```\n", 1)[1]
+        block = after.split("```\n", 1)[1].split("```", 1)[0].splitlines()
+        argv = command.split()[1:]
+        rc, out, _ = run(capsys, *argv[:-1], str(README.parent / argv[-1]))
+        assert rc == 0
+        actual = iter(out.splitlines())
+        for line in block:
+            if line == "...":
+                continue
+            if line.endswith("..."):
+                assert any(a.startswith(line[:-3]) for a in actual), line
+            else:
+                assert line in actual, line
+
+
 class TestReproduce:
     def test_passing_target(self, capsys):
         rc, out, _ = run(capsys, "reproduce", "example4")
@@ -427,11 +540,6 @@ class TestReproduce:
         assert target["target"] == "example33" and target["ok"]
         cell = target["cells"][0]
         assert {"column", "row", "bound", "expected", "actual", "delta", "tol"} <= set(cell)
-
-    def test_csv_unsupported(self, capsys):
-        rc, _, err = run(capsys, "reproduce", "example4", "--format", "csv")
-        assert rc == 2
-        assert "csv output is not supported for reproduce" in err
 
     def test_unknown_target_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
