@@ -92,7 +92,7 @@ def _parse_header(data: Any, items_key: str, optional: set[str]) -> Frame:
     _require(isinstance(data, dict), "$", "top level must be an object")
     _check_keys(data, "$", {"format", "frame", items_key}, optional)
     _require(
-        data["format"] == FORMAT_VERSION,
+        type(data["format"]) is int and data["format"] == FORMAT_VERSION,
         "$.format",
         f"unsupported format {data['format']!r}, expected {FORMAT_VERSION}",
     )

@@ -78,15 +78,18 @@ def _products(
     return out
 
 
+def _total_conflict(surviving: float, conflict: float) -> bool:
+    """The closed total-conflict test of every engine: the surviving mass is
+    ``<= MASS_DROP_EPS`` or the conflict K is ``>= 1 - MASS_DROP_EPS``.
+    BPAs sum to 1 only within ``MASS_SUM_TOL``, so neither implies the other."""
+    return surviving <= MASS_DROP_EPS or conflict >= 1.0 - MASS_DROP_EPS
+
+
 def _surviving_mass(products: dict[int, float]) -> float:
     """The surviving mass, ``math.fsum`` of the non-empty products, or 0.0 on
-    total conflict.  Total conflict is a closed test: the surviving mass is
-    ``<= MASS_DROP_EPS`` or K (key 0) is ``>= 1 - MASS_DROP_EPS``.  BPAs sum
-    to 1 only within ``MASS_SUM_TOL``, so neither implies the other."""
+    total conflict (:func:`_total_conflict`, K at key 0)."""
     surviving = math.fsum(m for bits, m in products.items() if bits)
-    if surviving <= MASS_DROP_EPS or products.get(0, 0.0) >= 1.0 - MASS_DROP_EPS:
-        return 0.0
-    return surviving
+    return 0.0 if _total_conflict(surviving, products.get(0, 0.0)) else surviving
 
 
 def _raw_products(b1: Bpa, b2: Bpa) -> tuple[dict[int, float], float, float]:

@@ -184,17 +184,14 @@ def enumerate_vertices(
     return tuple(vertices)
 
 
-def contains(
-    ibs: IntervalBeliefStructure,
-    masses: Sequence[float],
-    tol: float = MASS_SUM_TOL,
-) -> bool:
-    """Whether a mass vector (aligned with ``ibs.entries``) is feasible."""
+def contains(ibs: IntervalBeliefStructure, masses: Sequence[float]) -> bool:
+    """Whether a mass vector (aligned with ``ibs.entries``) is feasible, each
+    bound and the sum closed within ``MASS_SUM_TOL``."""
     if len(masses) != len(ibs.entries):
         raise IvbelError(
             f"mass vector has {len(masses)} entries, structure has {len(ibs.entries)}"
         )
     for m, lo, hi in zip(masses, ibs.lower_bounds, ibs.upper_bounds):
-        if not lo - tol <= m <= hi + tol:
+        if not lo - MASS_SUM_TOL <= m <= hi + MASS_SUM_TOL:
             return False
-    return abs(math.fsum(masses) - 1.0) <= tol
+    return abs(math.fsum(masses) - 1.0) <= MASS_SUM_TOL

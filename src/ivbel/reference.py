@@ -34,7 +34,7 @@ from .core import (
     _mass_result,
     normalize,
 )
-from .fusion import _products, _surviving_mass
+from .fusion import _products, _surviving_mass, _total_conflict
 from .polytope import enumerate_vertices
 
 __all__ = [
@@ -181,10 +181,11 @@ def denoeux_combine(
     bodies = (ibs1, ibs2)
     _check_bodies(bodies, normalized=True)
     lows, highs = _extrema(_targets(bodies), _vertex_products(bodies))
-    empty = (lows.pop(0), highs.pop(0)) if 0 in lows else (0.0, 0.0)
-    entries = tuple(
-        (FocalSet(bits), lows[bits], highs[bits]) for bits in sorted(lows)
-    )
+    # Clamped at 1: vertices sum to 1 only within MASS_SUM_TOL, so a product
+    # sum can exceed 1 by as much.
+    bounds = {t: (min(lows[t], 1.0), min(highs[t], 1.0)) for t in lows}
+    empty = bounds.pop(0, (0.0, 0.0))
+    entries = tuple((FocalSet(bits), *bounds[bits]) for bits in sorted(bounds))
     return IntervalMassResult(ibs1.frame, entries, includes_empty=empty)
 
 
@@ -200,29 +201,24 @@ def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
 
     where ``[e_lo, e_hi]`` are the raw empty-set bounds.  With
     ``e == [0, 0]`` and point masses summing to one this is the identity.
-    Raises :class:`TotalConflictError` when the non-empty targets can hold
-    at most ``MASS_DROP_EPS`` between them (the closed test of Dempster's
-    rule), including when none is left.
+    The denominators are computed without cancellation, as ``min(1 - e_lo,
+    lo(A) + sum_{B != A} hi(B))`` and ``max(1 - e_hi, hi(A) + sum_{B != A}
+    lo(B))``; a zero bound maps to 0.  Raises :class:`TotalConflictError` on
+    Dempster's closed test (``fusion._total_conflict``): the non-empty upper
+    bounds sum to at most ``MASS_DROP_EPS``, or ``e_lo >= 1 - MASS_DROP_EPS``.
+    Otherwise both denominators are positive wherever the bound is.
     """
     e_lo, e_hi = raw.includes_empty if raw.includes_empty is not None else (0.0, 0.0)
     sum_lo = math.fsum(lo for _, lo, _ in raw.entries)
     sum_hi = math.fsum(hi for _, _, hi in raw.entries)
-    if sum_hi <= MASS_DROP_EPS:
+    if _total_conflict(sum_hi, e_lo):
         raise TotalConflictError(
             "not combinable: total conflict (no mass on any non-empty intersection)"
         )
     entries = []
     for fs, lo, hi in raw.entries:
-        rest_hi = sum_hi - hi
-        rest_lo = sum_lo - lo
-        denom_lo = 1.0 - max(e_lo, 1.0 - lo - rest_hi)
-        denom_hi = 1.0 - min(e_hi, 1.0 - hi - rest_lo)
-        if denom_lo <= 0.0 or denom_hi <= 0.0:
-            raise NormalizationError(
-                f"degenerate normalization for {raw.frame.format_set(fs)}"
-            )
-        new_lo = lo / denom_lo if lo > 0.0 else 0.0
-        new_hi = min(hi / denom_hi, 1.0)
+        new_lo = lo / min(1.0 - e_lo, lo + (sum_hi - hi)) if lo > 0.0 else 0.0
+        new_hi = hi / max(1.0 - e_hi, hi + (sum_lo - lo)) if hi > 0.0 else 0.0
         if new_lo > new_hi + MASS_SUM_TOL:
             raise NormalizationError(
                 f"cannot normalize interval for {raw.frame.format_set(fs)}: "
@@ -301,18 +297,20 @@ class IfsElement:
 def ifs_combine(e1: IfsElement, e2: IfsElement) -> IfsElement:
     """Combine two intuitionistic assessments of the same singleton.
 
-    Algebraically this is Dempster's rule on a two-element frame with
-    masses ``(mu, gamma, pi)`` on (yes, no, either); it is therefore
-    commutative and associative.
+    This is Dempster's rule, run by ``fusion``'s kernel, on a two-element
+    frame with masses ``(mu, gamma, pi)`` on (yes, no, either); it is
+    therefore commutative and associative.
     """
     if e1.target != e2.target:
         raise IvbelError("IFS elements must assess the same singleton")
-    denom = 1.0 - e1.mu * e2.gamma - e2.mu * e1.gamma
-    if denom <= MASS_DROP_EPS:
+    # Bits 1, 2, 3 are yes, no, either; key 0 holds the conflict.
+    masses = _products(
+        ((1, e1.mu), (2, e1.gamma), (3, e1.pi)), ((1, e2.mu), (2, e2.gamma), (3, e2.pi))
+    )
+    surviving = _surviving_mass(masses)
+    if not surviving:
         raise TotalConflictError("IFS total conflict")
-    mu = (e1.mu * (1.0 - e2.gamma) + e2.mu * e1.pi) / denom
-    gamma = (e1.gamma * (1.0 - e2.mu) + e2.gamma * e1.pi) / denom
-    return IfsElement(e1.target, min(mu, 1.0), min(gamma, 1.0))
+    return IfsElement(e1.target, masses.get(1, 0.0) / surviving, masses.get(2, 0.0) / surviving)
 
 
 def interval_pignistic(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:

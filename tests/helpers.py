@@ -25,6 +25,8 @@ from ivbel.entropy import entropy_from_profile, separable_profile
 from ivbel.polytope import _DEDUPE_DECIMALS, MAX_VERTEX_DIM, MIN_TIE_TOL
 
 FRAME3 = Frame(("X", "Y", "Z"))
+FRAME_AB = Frame(("A", "B"))
+FRAME_ABC = Frame(("A", "B", "C"))
 
 # Every non-empty subset of a 3-element frame, as label tuples.
 ALL_SUBSETS3 = (
@@ -127,6 +129,37 @@ def equal_boxes(n: int) -> IntervalBeliefStructure:
     labels = tuple(f"E{i}" for i in range(n))
     return IntervalBeliefStructure.from_mapping(
         Frame(labels), {(label,): (0.0, 2.0 / n) for label in labels}
+    )
+
+
+def near_conflict_pair(
+    rng: random.Random,
+) -> tuple[IntervalBeliefStructure, IntervalBeliefStructure]:
+    """Two bodies on {A, B} in near total conflict: ``{A: [1 - e1, 1 - e1 +
+    w1], B: [max(0, e1 - w1), e1]}`` against ``{A: [0, e2], B: [1 - e2, 1]}``
+    with ``e = 10**U(-13, -4)`` and ``w1 = e1 * U(0, 1)``."""
+    e1 = 10 ** rng.uniform(-13, -4)
+    w1 = e1 * rng.uniform(0.0, 1.0)
+    e2 = 10 ** rng.uniform(-13, -4)
+    return (
+        IntervalBeliefStructure.from_mapping(
+            FRAME_AB, {("A",): (1 - e1, 1 - e1 + w1), ("B",): (max(0.0, e1 - w1), e1)}
+        ),
+        IntervalBeliefStructure.from_mapping(FRAME_AB, {("A",): (0.0, e2), ("B",): (1 - e2, 1.0)}),
+    )
+
+
+def near_conflict_body(rng: random.Random, major: str) -> IntervalBeliefStructure:
+    """A normalized body on {A, B, C} with ``[1 - e - w, 1]`` on ``major`` and
+    ``[0, e]`` on each other singleton, ``e = 10**U(-13, -3)`` and ``w = e *
+    U(0, 1)``; two bodies with different majors nearly conflict totally."""
+    e = 10 ** rng.uniform(-13, -3)
+    w = e * rng.uniform(0.0, 1.0)
+    return normalize(
+        IntervalBeliefStructure.from_mapping(
+            FRAME_ABC,
+            {(label,): (1 - e - w, 1.0) if label == major else (0.0, e) for label in "ABC"},
+        )
     )
 
 

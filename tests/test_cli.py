@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -10,8 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbel import __version__, cli, parse_evidence, result_from_json
+from ivbel import (
+    EvidenceFile,
+    __version__,
+    cli,
+    evidence_to_json,
+    is_normalized,
+    parse_evidence,
+    result_from_json,
+)
 from ivbel.cli import build_parser, main
+
+from helpers import FRAME_AB, near_conflict_pair
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -210,6 +221,18 @@ class TestValidate:
         rc, _, err = run(capsys, "validate", str(path))
         assert rc == 2
         assert "unsupported format 2" in err
+
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_format_version_must_be_an_integer(self, capsys, tmp_path, version):
+        path = tmp_path / "version.json"
+        path.write_text(
+            f'{{"format": {version}, "frame": ["A"], '
+            '"bodies": [{"masses": [{"set": ["A"], "mass": 1}]}]}',
+            encoding="utf-8",
+        )
+        rc, _, err = run(capsys, "validate", str(path))
+        assert rc == 2
+        assert f"unsupported format {json.loads(version)!r}" in err
 
 
 class TestNormalize:
@@ -414,6 +437,41 @@ class TestCombine:
         rc, _, err = run(capsys, "combine", str(path), "--method", method)
         assert rc == 2
         assert "not combinable: total conflict" in err
+
+    def test_song_near_conflict_combines_or_conflicts(self, capsys, tmp_path):
+        rng = random.Random(5)
+        path = tmp_path / "near.json"
+        for _ in range(50):
+            bodies = ((f"m{i}", body) for i, body in enumerate(near_conflict_pair(rng), 1))
+            doc = evidence_to_json(EvidenceFile(FRAME_AB, tuple(bodies)))
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            rc, out, err = run(capsys, "combine", str(path), "--method", "song", "--format", "json")
+            if rc == 2:
+                assert "IFS total conflict" in err
+                continue
+            assert rc == 0, err
+            result, _ = result_from_json(json.loads(out))
+            assert result.normalized and is_normalized(result.as_ibs())
+
+    def test_denoeux_raw_bounds_stay_within_one(self, capsys, tmp_path):
+        # The empty set's product sum exceeds 1 by 8e-13 on this pair.
+        e1, e2 = 8.066875882656179e-13, 1.2486632893694472e-05
+        data = {
+            "format": 1,
+            "frame": ["A", "B", "C"],
+            "bodies": [
+                {"masses": [{"set": ["A"], "lo": 0.9999999999986339, "hi": 1},
+                            {"set": ["B"], "lo": 0, "hi": e1},
+                            {"set": ["C"], "lo": 0, "hi": e1}]},
+                {"masses": [{"set": ["A"], "lo": 0, "hi": e2},
+                            {"set": ["B"], "lo": 0.9999869904227207, "hi": 1},
+                            {"set": ["C"], "lo": 0, "hi": e2}]},
+            ],
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc, _, err = run(capsys, "combine", str(path), "--method", "denoeux")
+        assert rc == 0, err
 
     def test_dempster_rejects_interval_bodies(self, capsys):
         rc, _, err = run(capsys, "combine", bundled("example4"), "--method", "dempster")

@@ -93,6 +93,14 @@ class TestParseEvidence:
             parse_evidence(data)
         assert str(err.value).startswith(path + ":")
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_version_must_be_an_integer(self, version):
+        # True == 1 and 1.0 == 1, but neither is the integer version.
+        data = minimal()
+        data["format"] = version
+        with pytest.raises(SchemaError, match=rf"^\$\.format: unsupported format {version!r}"):
+            parse_evidence(data)
+
     def test_duplicate_focal_set(self):
         data = minimal()
         data["bodies"][0]["masses"].append({"set": ["A"], "mass": 0.1})
@@ -192,6 +200,7 @@ class TestResultJson:
         ("entries", [], None),
         ("empty", [0.5, 0.2], r"\$\.empty: lo 0\.5 exceeds hi 0\.2"),
         ("normalized", "no", r"\$\.normalized: must be true or false"),
+        ("format", True, r"\$\.format: unsupported format True"),
     ],
     ids=[
         "entries-not-a-list",
@@ -200,6 +209,7 @@ class TestResultJson:
         "no-entries",
         "empty-lo-above-hi",
         "normalized-not-a-bool",
+        "format-a-bool",
     ],
 )
 def test_result_json_schema(field, value, where):

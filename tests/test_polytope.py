@@ -293,7 +293,7 @@ class TestVertexProperties:
     def test_vertices_are_feasible(self, seed):
         ibs = random_valid_ibs(random.Random(seed))
         for vec in enumerate_vertices(ibs):
-            assert contains(ibs, vec, tol=1e-7)
+            assert contains(ibs, vec)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -327,7 +327,7 @@ class TestVertexProperties:
             math.fsum(w / total * v[i] for w, v in zip(weights, vertices))
             for i in range(len(ibs.entries))
         )
-        assert contains(ibs, point, tol=1e-7)
+        assert contains(ibs, point)
 
 
 def test_enumeration_leaves_no_reference_cycles():

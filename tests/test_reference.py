@@ -4,9 +4,10 @@ ratio bounds over vertices, and the intuitionistic pignistic route."""
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivbel import (
@@ -24,6 +25,7 @@ from ivbel import (
     from_bpa,
     ifs_combine,
     interval_pignistic,
+    is_normalized,
     leezhu_combine,
     normalize,
     proposed_combine,
@@ -35,7 +37,14 @@ from ivbel.core import MASS_SUM_TOL
 from ivbel.polytope import enumerate_vertices
 from ivbel.reproduce import load_bundled
 
-from helpers import FRAME3, random_bpa, random_normalized_ibs, random_point_in
+from helpers import (
+    FRAME3,
+    near_conflict_body,
+    near_conflict_pair,
+    random_bpa,
+    random_normalized_ibs,
+    random_point_in,
+)
 
 FRAME = Frame(("A", "B", "C"))
 
@@ -194,6 +203,54 @@ class TestDenoeux:
             denoeux_normalize(raw)
         with pytest.raises(TotalConflictError, match="not combinable: all vertex tuples"):
             wang_combine([b1, b2])
+
+    def test_total_conflict_on_the_empty_lower_bound(self):
+        # More than MASS_DROP_EPS of upper bounds, but every assignment that
+        # respects the raw bounds gives the empty set at least 1 - 5e-13.
+        raw = IntervalMassResult(
+            FRAME,
+            tuple((FRAME.singleton(label), 0.0, 4e-13) for label in "ABC"),
+            includes_empty=(1.0 - 5e-13, 1.0),
+        )
+        with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
+            denoeux_normalize(raw)
+
+    def test_raw_bounds_stay_within_one(self):
+        # The vertices sum to 1 only within MASS_SUM_TOL, so the empty set's
+        # product sum exceeds 1 by 8e-13 here.
+        e1, e2 = 8.066875882656179e-13, 1.2486632893694472e-05
+        b1 = IntervalBeliefStructure.from_mapping(
+            FRAME, {("A",): (0.9999999999986339, 1.0), ("B",): (0.0, e1), ("C",): (0.0, e1)}
+        )
+        b2 = IntervalBeliefStructure.from_mapping(
+            FRAME, {("A",): (0.0, e2), ("B",): (0.9999869904227207, 1.0), ("C",): (0.0, e2)}
+        )
+        raw = denoeux_combine(b1, b2)
+        assert raw.includes_empty[1] == 1.0
+        out = denoeux_normalize(raw)
+        wanted = wang_combine([b1, b2])
+        for fs, lo, hi in out.entries:
+            assert lo <= wanted.interval(fs)[0] and hi >= wanted.interval(fs)[1]
+
+    def test_near_conflict_agrees_with_wang(self):
+        # Both engines must decide total conflict by the same closed test.
+        rng = random.Random(11)
+        outcomes = set()
+        for _ in range(500):
+            bodies = (near_conflict_body(rng, "A"), near_conflict_body(rng, "B"))
+            try:
+                denoeux_normalize(denoeux_combine(*bodies))
+                denoeux = "combined"
+            except TotalConflictError:
+                denoeux = "conflict"
+            try:
+                wang_combine(bodies)
+                wang = "combined"
+            except TotalConflictError:
+                wang = "conflict"
+            assert denoeux == wang
+            outcomes.add(wang)
+        assert outcomes == {"combined", "conflict"}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -377,9 +434,13 @@ class TestIfs:
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
     )
+    # Near total conflict, where 1 - K is about 2e-9, 4e-8 and 2e-10.
+    @example(1 - 1e-9, 0.0, 0.0, 1 - 1e-9)
+    @example(0.9999999978640232, 3.638619391700094e-10, 3.286771571606754e-08, 0.999999966532433)
+    @example(1 - 1e-10, 0.0, 0.0, 1 - 1e-10)
     def test_equivalent_to_two_frame_dempster(self, a1, g1, a2, g2):
         """(mu, gamma, pi) behaves as masses on (yes, no, either) under
-        Dempster's rule."""
+        Dempster's rule, and matches it in exact rationals to 1e-15."""
         frame = Frame(("yes", "no"))
         scale1 = max(1.0, a1 + g1)
         scale2 = max(1.0, a2 + g2)
@@ -410,6 +471,14 @@ class TestIfs:
         assert combined.mass(frame.singleton("no")) == pytest.approx(
             folded.gamma, abs=1e-9
         )
+        (m1, n1, p1), (m2, n2, p2) = (
+            (Fraction(e.mu), Fraction(e.gamma), Fraction(e.pi)) for e in (e1, e2)
+        )
+        yes = m1 * (m2 + p2) + p1 * m2
+        no = n1 * (n2 + p2) + p1 * n2
+        surviving = yes + no + p1 * p2
+        assert abs(folded.mu - yes / surviving) <= 1e-15
+        assert abs(folded.gamma - no / surviving) <= 1e-15
 
     def test_commutative(self):
         e1 = IfsElement(FRAME.singleton("A"), 0.6, 0.2)
@@ -481,3 +550,16 @@ class TestSong:
         ibs2 = IntervalBeliefStructure.from_mapping(FRAME, {("B",): (1.0, 1.0)})
         with pytest.raises(TotalConflictError, match="IFS total conflict"):
             song_combine((ibs1, ibs2))
+
+    def test_near_conflict_combines_or_conflicts(self):
+        # 1 - K is within rounding error of zero on many of these pairs.
+        rng = random.Random(5)
+        conflicts = 0
+        for _ in range(2000):
+            try:
+                result = song_combine(near_conflict_pair(rng))
+            except TotalConflictError:
+                conflicts += 1
+                continue
+            assert result.normalized and is_normalized(result.as_ibs())
+        assert 0 < conflicts < 2000

@@ -1,5 +1,7 @@
-"""Every tolerance in the package has a name."""
+"""Every tolerance in the package has a name, and the total-conflict rule
+has one owner."""
 
+import ast
 import re
 import tokenize
 from pathlib import Path
@@ -47,3 +49,35 @@ def test_tolerance_literals_are_named_constants():
         for hit in _stray_literals(path)
     ]
     assert stray == [], "name these tolerances as module-level constants: " + ", ".join(stray)
+
+
+def _readers(path: Path, name: str) -> set[str]:
+    """Dotted names of the functions (or ``<module>``) that read ``name``."""
+    readers = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            read = (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            )
+            if read and isinstance(child.ctx, ast.Load):
+                readers.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return readers
+
+
+def test_total_conflict_has_one_owner():
+    # Song's fold, Denoeux's normalization, Dempster's rule and Wang's tuples
+    # decide total conflict through fusion._total_conflict; the only other
+    # reader is the IFS element's own input validation.
+    readers = {
+        f"{module}:{reader}"
+        for module in ("fusion.py", "reference.py")
+        for reader in _readers(SRC / module, "MASS_DROP_EPS")
+    }
+    assert readers == {"fusion.py:_total_conflict", "reference.py:IfsElement.__post_init__"}
