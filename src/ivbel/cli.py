@@ -335,13 +335,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(bodies) != 2:
         methods.remove("denoeux")
         notes.append("denoeux column omitted: that engine combines exactly two bodies")
-    columns = [
-        (
-            _method_label(m, measure=args.measure),
-            _run_engine(m, names, bodies, measure=args.measure)[0],
-        )
-        for m in methods
-    ]
+    columns = []
+    for m in methods:
+        label = _method_label(m, measure=args.measure)
+        try:
+            columns.append((label, _run_engine(m, names, bodies, measure=args.measure)[0]))
+        except IvbelError as exc:
+            notes.append(f"{label} column omitted: {exc}")
+    if not columns:
+        return _fail("every engine failed: " + "; ".join(notes))
 
     if args.format == "json":
         _print_json(
@@ -359,6 +361,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for fs, lo, hi in res.entries
         ]
         print(render_csv("method", rows), end="")
+        for note in notes:
+            print(f"note: {note}", file=sys.stderr)
     else:
         focal_bits = sorted(
             {fs.bits for _, res in columns for fs, _, _ in res.entries}

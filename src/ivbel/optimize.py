@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .core import MASS_SUM_TOL, Bpa, IntervalBeliefStructure, IvbelError, is_normalized
 from .entropy import EntropyMeasure, entropy_from_profile, measure, separable_profile
-from .polytope import enumerate_vertices
+from .polytope import _greedy_linear, enumerate_vertices
 
 __all__ = [
     "EntropyBoundsSolution",
@@ -32,12 +32,6 @@ __all__ = [
     "entropy_bounds",
 ]
 
-# _greedy_linear: keys within _KEY_TIE_TOL form one group, and a residual or
-# headroom below _FILL_EPS counts as spent.  Neither is MASS_DROP_EPS: the
-# first compares objective keys, not masses, and the second must stay near
-# machine precision so linear-measure witnesses are exact to about 1e-16.
-_KEY_TIE_TOL = 1e-12
-_FILL_EPS = 1e-15
 # A minimum above the maximum by more than this is a solver defect.
 _INVERSION_TOL = 1e-9
 
@@ -88,38 +82,6 @@ def water_fill(
         sa, sb = math.fsum(clamped(a)), math.fsum(clamped(b))
         c = a + (b - a) * (1.0 - sa) / (sb - sa)
     return tuple(clamped(c)), c
-
-
-def _greedy_linear(
-    lower: tuple[float, ...],
-    upper: tuple[float, ...],
-    keys: tuple[float, ...],
-    *,
-    descending: bool,
-) -> tuple[float, ...]:
-    """Extremize a linear objective: fill the residual above the lower bounds
-    group by group in key order, splitting equally within tied groups."""
-    n = len(lower)
-    m = list(lower)
-    residual = 1.0 - math.fsum(lower)
-    order = sorted(range(n), key=lambda i: keys[i], reverse=descending)
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and abs(keys[groups[-1][0]] - keys[i]) <= _KEY_TIE_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    for group in groups:
-        while residual > _FILL_EPS:
-            active = [i for i in group if m[i] < upper[i] - _FILL_EPS]
-            if not active:
-                break
-            share = residual / len(active)
-            for i in active:
-                add = min(share, upper[i] - m[i])
-                m[i] += add
-                residual -= add
-    return tuple(m)
 
 
 def _prepare(

@@ -3,22 +3,26 @@
 The BPAs compatible with a structure form a polytope: the box given by the
 per-entry bounds cut by the plane where masses sum to one.  Every vertex of
 that polytope has at most one coordinate strictly between its bounds, so the
-vertices are the bound patterns of the other coordinates whose sums leave the
-free one a residual within its bounds.  A depth-first search over those
-patterns prunes every branch whose partial sum can no longer reach that
-window, so its cost grows with the vertices returned rather than with the
-n * 2**(n-1) patterns.
+vertices are found by one depth-first tree over the coordinates in index
+order: each is set to its lower bound, its upper bound or, once per path,
+left free to absorb the residual.  Branches whose partial sum can no longer
+leave an accepted residual are pruned, so the cost grows with the vertices
+returned rather than with the n * 2**(n-1) bound patterns.
 
-Given a separable concave objective, the same search cuts every branch that
+Given a separable concave objective, the same tree cuts every branch that
 cannot tie the minimum (Falk and Soland's branch and bound, Management
 Science 1969): each open coordinate's term is bounded below by its secant
 over its bounds, and the least value of that linear sum over the branch's
-part of the polytope is a greedy fill in slope order.
+part of the polytope is a greedy fill in slope order.  Each node's children
+are visited toward the vertex that minimizes the secant sum over the whole
+polytope first, so the first leaf is a good incumbent and cuts start near
+the root.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 from .core import MASS_SUM_TOL, IntervalBeliefStructure, IvbelError
@@ -46,6 +50,41 @@ MIN_TIE_TOL = 1e-10
 # (about 1e-14) and the spread in value between float copies of one vertex
 # that the dedupe merges (up to about 1e-9 where coordinates are near zero).
 _BOUND_MARGIN = 1e-8
+
+# _greedy_linear: keys within _KEY_TIE_TOL form one group, and a residual or
+# headroom below _FILL_EPS counts as spent.  Neither is MASS_DROP_EPS: the
+# first compares objective keys, not masses, and the second must stay near
+# machine precision so linear-measure witnesses are exact to about 1e-16.
+_KEY_TIE_TOL = 1e-12
+_FILL_EPS = 1e-15
+
+
+def _greedy_linear(
+    lower: Sequence[float], upper: Sequence[float], keys: Sequence[float], *, descending: bool
+) -> tuple[float, ...]:
+    """Extremize a linear objective: fill the residual above the lower bounds
+    group by group in key order, splitting equally within tied groups."""
+    n = len(lower)
+    m = list(lower)
+    residual = 1.0 - math.fsum(lower)
+    order = sorted(range(n), key=lambda i: keys[i], reverse=descending)
+    groups: list[list[int]] = []
+    for i in order:
+        if groups and abs(keys[groups[-1][0]] - keys[i]) <= _KEY_TIE_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    for group in groups:
+        while residual > _FILL_EPS:
+            active = [i for i in group if m[i] < upper[i] - _FILL_EPS]
+            if not active:
+                break
+            share = residual / len(active)
+            for i in active:
+                add = min(share, upper[i] - m[i])
+                m[i] += add
+                residual -= add
+    return tuple(m)
 
 
 def _secant_bound(base, extra, fill, rank, depth) -> float:
@@ -92,9 +131,18 @@ def enumerate_vertices(
         raise IvbelError(
             f"vertex enumeration refused: {n} focal sets (max {MAX_VERTEX_DIM})"
         )
-    lo = ibs.lower_bounds
-    hi = ibs.upper_bounds
-    found: dict[tuple[float, ...], tuple[float, ...]] = {}
+    lo, hi = ibs.lower_bounds, ibs.upper_bounds
+    # rest_lo[d] and rest_hi[d] sum the bounds after d, from the last one back.
+    rest_lo = list(accumulate(lo[:0:-1], initial=0.0))[::-1]
+    rest_hi = list(accumulate(hi[:0:-1], initial=0.0))[::-1]
+    # With free coordinate f, or f = n (bounds 0) while none is free yet, a
+    # sum s of the values up to d can still lead to an accepted residual only
+    # if s + rest_lo[d] <= most[f] and s + rest_hi[d] >= least[f].
+    lo_f = (*lo, 0.0)
+    most = [1.0 - l + MASS_SUM_TOL + _PRUNE_SLACK for l in lo_f]
+    least = [1.0 - h - MASS_SUM_TOL - _PRUNE_SLACK for h in (*hi, 0.0)]
+    found: dict[tuple[float, ...], tuple[int, tuple[float, ...]]] = {}
+    lead = [2] * n
     bounded = profile is not None
     if bounded:
         # Each term m*k - beta*m*log2(m) is concave, so its secant over
@@ -104,83 +152,87 @@ def enumerate_vertices(
         width = [h - l for l, h in zip(lo, hi)]
         slope = [b / w if w > 0.0 else 0.0 for b, w in zip(lift, width)]
         fill = sorted(zip(slope, width, range(n)))
-        floor_phi = math.fsum(phi_lo)
+        # Lead to the vertex minimizing the secant sum first, so the first
+        # leaf is a good incumbent and cuts start near the root.
+        lead = [
+            1 if h - m <= _FILL_EPS else 2 if m - l > _FILL_EPS else 0
+            for l, h, m in zip(lo, hi, _greedy_linear(lo, hi, slope, descending=False))
+        ]
+        # At depth d, rank[j] < d marks a fixed coordinate (the free one has
+        # rank n); lifted[d] is every term at lo plus the lifts of those at hi.
+        rank = list(range(n))
+        lifted = [math.fsum(phi_lo)] * (n + 1)
         scores: dict[tuple[float, ...], float] = {}
         best = math.inf
         cut = MIN_TIE_TOL + _BOUND_MARGIN
-
-    # Each vertex has at most one coordinate strictly between its bounds: fix
-    # the others at bounds and let the free one absorb the residual.  Patterns
-    # are walked depth first, lower bound before upper and first coordinate
-    # slowest (the order of itertools.product((0, 1), repeat=n - 1)), so the
-    # first pattern to reach a vertex is the one a scan of all patterns keeps;
-    # a branch the objective cuts holds no first copy of a tied vertex.
-    depth = n - 1
-    for free in range(n):
-        others = [i for i in range(n) if i != free]
-        # rest_lo[d] and rest_hi[d] sum the bounds of others[d:].
-        rest_lo = [0.0] * n
-        rest_hi = [0.0] * n
-        for d in range(depth - 1, -1, -1):
-            rest_lo[d] = rest_lo[d + 1] + lo[others[d]]
-            rest_hi[d] = rest_hi[d + 1] + hi[others[d]]
-        # A partial sum s can still lead to an accepted residual only if
-        # s + rest_lo <= most and s + rest_hi >= least.
-        most = 1.0 - lo[free] + MASS_SUM_TOL + _PRUNE_SLACK
-        least = 1.0 - hi[free] - MASS_SUM_TOL - _PRUNE_SLACK
-        fixed = [0.0] * depth
-        partial = [0.0] * n  # partial[d] sums fixed[:d]
-        tried = [0] * depth  # bounds tried at position d: 0, 1 (lower) or 2
-        if bounded:
-            # At depth d the coordinates of rank >= d are open, and lifted[d]
-            # sums every term at its lower bound plus the lifts of fixed[:d].
-            rank = [depth] * n
-            for d, i in enumerate(others):
-                rank[i] = d
-            lifted = [floor_phi] * n
-        d = 0
-        while d >= 0:
-            if d < depth:
-                if tried[d] == 2:
-                    tried[d] = 0
-                    d -= 1
-                    continue
-                i = others[d]
-                value = hi[i] if tried[d] else lo[i]
-                tried[d] += 1
-                t = partial[d] + value
-                if t + rest_lo[d + 1] <= most and t + rest_hi[d + 1] >= least:
-                    if bounded:
-                        lifted[d + 1] = lifted[d] + (lift[i] if tried[d] == 2 else 0.0)
-                        extra = 1.0 - t - rest_lo[d + 1] - lo[free]
-                        if _secant_bound(lifted[d + 1], extra, fill, rank, d + 1) > best + cut:
-                            continue
-                    fixed[d] = value
-                    partial[d + 1] = t
-                    d += 1
-                continue
-            # A residual within MASS_SUM_TOL of a bound snaps to it, so a
-            # vertex with every coordinate at a bound has the same floats
-            # whichever one is free.  The snap compares rounded sums as the
-            # acceptance test does, so every accepted residual ends in the box.
-            residual = 1.0 - math.fsum(fixed)
-            if lo[free] - MASS_SUM_TOL <= residual <= hi[free] + MASS_SUM_TOL:
-                if residual <= lo[free] + MASS_SUM_TOL:
-                    residual = lo[free]
-                elif residual >= hi[free] - MASS_SUM_TOL:
-                    residual = hi[free]
-                vec = tuple(fixed[:free] + [residual] + fixed[free:])
-                key = tuple(round(v, _DEDUPE_DECIMALS) for v in vec)
-                if found.setdefault(key, vec) is vec and bounded:
-                    scores[vec] = entropy_from_profile(vec, profile)
-                    best = min(best, scores[vec])
+    # Coordinate i tries (code, value) pairs: its lower bound (0), its upper
+    # bound (1) and, while none is free, being free (2), which the last one
+    # must be then; choices[i][1] holds all, lead[i] first, [0] the bounds.
+    choices = []
+    for i, c in enumerate(lead):
+        order = sorted([(0, lo[i]), (1, hi[i]), (2, 0.0)], key=lambda x: x[0] != c)
+        choices.append(([x for x in order if x[0] < 2], order if i < n - 1 else [(2, 0.0)]))
+    values = [0.0] * n  # the path's bounds, 0.0 at the free coordinate
+    partial = [0.0] * n  # partial[d] sums values[:d]
+    options = [iter(choices[0][1])] * n  # options[d]: what d has left to try
+    d, free = 0, n  # free: the free coordinate before d, or n
+    while d >= 0:
+        choice, value = next(options[d], (-1, 0.0))
+        if choice < 0:
             d -= 1
+            if free == d:
+                free = n
+            continue
+        f = d if choice == 2 else free
+        t = partial[d] + value
+        if t + rest_lo[d] > most[f] or t + rest_hi[d] < least[f]:
+            continue
+        if bounded:
+            up = lifted[d] + lift[d] if choice == 1 else lifted[d]
+            rank[d] = n if choice == 2 else d
+            extra = 1.0 - t - rest_lo[d] - lo_f[f]
+            if _secant_bound(up, extra, fill, rank, d + 1) > best + cut:
+                continue
+            lifted[d + 1] = up
+        values[d] = value
+        if d < n - 1:
+            d += 1
+            partial[d] = t
+            free = f
+            options[d] = iter(choices[d][f == n])
+            continue
+        # A residual within MASS_SUM_TOL of a bound snaps to it, so a vertex
+        # with every coordinate at a bound has the same floats whichever one
+        # is free.  The snap compares rounded sums as the acceptance test
+        # does, so every accepted residual ends in the box.
+        residual = 1.0 - math.fsum(values)
+        if lo[f] - MASS_SUM_TOL <= residual <= hi[f] + MASS_SUM_TOL:
+            if residual <= lo[f] + MASS_SUM_TOL:
+                residual = lo[f]
+            elif residual >= hi[f] - MASS_SUM_TOL:
+                residual = hi[f]
+            values[f] = residual
+            vec = tuple(values)
+            values[f] = 0.0
+            key = tuple(round(v, _DEDUPE_DECIMALS) for v in vec)
+            # Copies of a vertex that differ below the key's decimals resolve,
+            # whatever the visit order, to the one a scan of each free index's
+            # bound patterns in turn meets first (least index, then values).
+            g, old = found.setdefault(key, (f, vec))
+            if old is not vec:
+                if f > g or f == g and vec[:f] + vec[f + 1 :] >= old[:f] + old[f + 1 :]:
+                    continue
+                found[key] = (f, vec)
+            if bounded:
+                scores[vec] = entropy_from_profile(vec, profile)
+                best = min(best, scores[vec])
 
     if not found:
         raise IvbelError("structure has no feasible mass assignment")
-    vertices = sorted(found.values())
+    vertices = sorted(vec for _, vec in found.values())
     if bounded:
-        vertices = [vec for vec in vertices if scores[vec] <= best + MIN_TIE_TOL]
+        floor = min(scores[vec] for vec in vertices) + MIN_TIE_TOL
+        vertices = [vec for vec in vertices if scores[vec] <= floor]
     return tuple(vertices)
 
 

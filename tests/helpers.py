@@ -200,10 +200,25 @@ def random_point_in(
     )
 
 
+def bound_patterns(lo, hi):
+    """Every way to put all coordinates but one at a bound, as ``(free,
+    fixed)`` pairs with ``fixed`` the other coordinates' values in index
+    order: free index by free index, each in ``itertools.product`` order of
+    the others (lower bound first, first coordinate slowest).  The
+    n * 2**(n-1) patterns hold every vertex of {lo <= m <= hi, sum(m) = 1};
+    works on floats and on Fractions alike."""
+    n = len(lo)
+    for free in range(n):
+        others = [i for i in range(n) if i != free]
+        for pattern in itertools.product((0, 1), repeat=n - 1):
+            yield free, [hi[i] if up else lo[i] for i, up in zip(others, pattern)]
+
+
 def brute_force_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...], ...]:
-    """:func:`ivbel.enumerate_vertices` by testing all n * 2**(n-1) bound
-    patterns, in ``itertools.product`` order, with the same leaf test, snap,
-    dedupe key, sorted output and errors.  Test oracle for the pruned search.
+    """:func:`ivbel.enumerate_vertices` by testing every :func:`bound_patterns`
+    pattern in order, with the same leaf test, snap, dedupe key, sorted output
+    and errors; the first pattern to reach a vertex represents it.  Test
+    oracle for the pruned search.
     """
     n = len(ibs.entries)
     if n > MAX_VERTEX_DIM:
@@ -214,18 +229,15 @@ def brute_force_vertices(ibs: IntervalBeliefStructure) -> tuple[tuple[float, ...
     hi = ibs.upper_bounds
     found: dict[tuple[float, ...], tuple[float, ...]] = {}
 
-    for free in range(n):
-        others = [i for i in range(n) if i != free]
-        for pattern in itertools.product((0, 1), repeat=n - 1):
-            fixed = [hi[i] if up else lo[i] for i, up in zip(others, pattern)]
-            residual = 1.0 - math.fsum(fixed)
-            if lo[free] - MASS_SUM_TOL <= residual <= hi[free] + MASS_SUM_TOL:
-                if residual <= lo[free] + MASS_SUM_TOL:
-                    residual = lo[free]
-                elif residual >= hi[free] - MASS_SUM_TOL:
-                    residual = hi[free]
-                vec = tuple(fixed[:free] + [residual] + fixed[free:])
-                found.setdefault(tuple(round(v, _DEDUPE_DECIMALS) for v in vec), vec)
+    for free, fixed in bound_patterns(lo, hi):
+        residual = 1.0 - math.fsum(fixed)
+        if lo[free] - MASS_SUM_TOL <= residual <= hi[free] + MASS_SUM_TOL:
+            if residual <= lo[free] + MASS_SUM_TOL:
+                residual = lo[free]
+            elif residual >= hi[free] - MASS_SUM_TOL:
+                residual = hi[free]
+            vec = tuple(fixed[:free] + [residual] + fixed[free:])
+            found.setdefault(tuple(round(v, _DEDUPE_DECIMALS) for v in vec), vec)
 
     if not found:
         raise IvbelError("structure has no feasible mass assignment")

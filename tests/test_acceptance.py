@@ -39,6 +39,7 @@ from ivbel.reproduce import TARGETS, load_bundled, reproduce
 
 from helpers import (
     FRAME3,
+    bound_patterns,
     grid_oracle,
     random_aligned_general_ibs,
     random_bpa,
@@ -81,17 +82,13 @@ def _exact_box(ibs) -> list[tuple[int, Fraction, Fraction]]:
 def _vertices(box) -> list[tuple[Fraction, ...]]:
     """Exact vertices of {m : lo <= m <= hi, sum(m) = 1}: every mass but one
     sits at a bound and the free one takes the residual."""
-    n = len(box)
+    lo = [b[1] for b in box]
+    hi = [b[2] for b in box]
     found = set()
-    for free in range(n):
-        rest = [i for i in range(n) if i != free]
-        for sides in itertools.product((1, 2), repeat=n - 1):
-            m = [Fraction(0)] * n
-            for i, side in zip(rest, sides):
-                m[i] = box[i][side]
-            m[free] = 1 - sum(m)
-            if box[free][1] <= m[free] <= box[free][2]:
-                found.add(tuple(m))
+    for free, fixed in bound_patterns(lo, hi):
+        residual = 1 - sum(fixed)
+        if lo[free] <= residual <= hi[free]:
+            found.add(tuple(fixed[:free] + [residual] + fixed[free:]))
     return sorted(found)
 
 

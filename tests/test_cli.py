@@ -54,6 +54,28 @@ def three_bodies(tmp_path):
 
 
 @pytest.fixture
+def near_conflict_file(tmp_path):
+    """Two bodies that denoeux, wang and song combine, while the proposed
+    rule's minimum-entropy witnesses ({A} and {B}) are in total conflict."""
+    e1, e2 = 8.066875882656179e-13, 1.2486632893694472e-05
+    data = {
+        "format": 1,
+        "frame": ["A", "B", "C"],
+        "bodies": [
+            {"masses": [{"set": ["A"], "lo": 0.9999999999986339, "hi": 1},
+                        {"set": ["B"], "lo": 0, "hi": e1},
+                        {"set": ["C"], "lo": 0, "hi": e1}]},
+            {"masses": [{"set": ["A"], "lo": 0, "hi": e2},
+                        {"set": ["B"], "lo": 0.9999869904227207, "hi": 1},
+                        {"set": ["C"], "lo": 0, "hi": e2}]},
+        ],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def one_body(tmp_path):
     data = {
         "format": 1,
@@ -453,24 +475,9 @@ class TestCombine:
             result, _ = result_from_json(json.loads(out))
             assert result.normalized and is_normalized(result.as_ibs())
 
-    def test_denoeux_raw_bounds_stay_within_one(self, capsys, tmp_path):
+    def test_denoeux_raw_bounds_stay_within_one(self, capsys, near_conflict_file):
         # The empty set's product sum exceeds 1 by 8e-13 on this pair.
-        e1, e2 = 8.066875882656179e-13, 1.2486632893694472e-05
-        data = {
-            "format": 1,
-            "frame": ["A", "B", "C"],
-            "bodies": [
-                {"masses": [{"set": ["A"], "lo": 0.9999999999986339, "hi": 1},
-                            {"set": ["B"], "lo": 0, "hi": e1},
-                            {"set": ["C"], "lo": 0, "hi": e1}]},
-                {"masses": [{"set": ["A"], "lo": 0, "hi": e2},
-                            {"set": ["B"], "lo": 0.9999869904227207, "hi": 1},
-                            {"set": ["C"], "lo": 0, "hi": e2}]},
-            ],
-        }
-        path = tmp_path / "edge.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        rc, _, err = run(capsys, "combine", str(path), "--method", "denoeux")
+        rc, _, err = run(capsys, "combine", near_conflict_file, "--method", "denoeux")
         assert rc == 0, err
 
     def test_dempster_rejects_interval_bodies(self, capsys):
@@ -548,6 +555,35 @@ class TestCompare:
         assert rc == 0
         methods = {line.split(",")[0] for line in out.splitlines()[1:]}
         assert methods == {"denoeux", "wang", "song", "proposed[pal]"}
+
+    def test_failing_engine_drops_its_column(self, capsys, near_conflict_file):
+        note = "proposed[pal] column omitted: not combinable: total conflict"
+        rc, out, err = run(capsys, "compare", near_conflict_file)
+        assert rc == 0, err
+        header = out.splitlines()[0].split()
+        assert header[-3:] == ["denoeux", "wang", "song"]
+        assert f"note: {note}" in out
+        rc, out, _ = run(capsys, "compare", near_conflict_file, "--format", "json")
+        doc = json.loads(out)
+        assert rc == 0 and set(doc["results"]) == {"denoeux", "wang", "song"}
+        assert any(n.startswith(note) for n in doc["notes"])
+        rc, out, err = run(capsys, "compare", near_conflict_file, "--format", "csv")
+        assert rc == 0
+        assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"denoeux", "wang", "song"}
+        assert f"note: {note}" in err
+
+    def test_every_engine_failing_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps({
+            "format": 1,
+            "frame": ["A", "B"],
+            "bodies": [{"masses": [{"set": ["A"], "mass": 1}]},
+                       {"masses": [{"set": ["B"], "mass": 1}]}],
+        }), encoding="utf-8")
+        rc, out, err = run(capsys, "compare", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: every engine failed: denoeux column omitted:")
+        assert err.count("column omitted") == 4
 
 
 class TestReadme:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbel import Frame, IntervalBeliefStructure, IvbelError, contains, enumerate_vertices
+from ivbel import Frame, IntervalBeliefStructure, IvbelError, contains, enumerate_vertices, polytope
 from ivbel.core import MASS_SUM_TOL
-from ivbel.entropy import separable_profile
+from ivbel.entropy import entropy_from_profile, separable_profile
 from ivbel.polytope import MIN_TIE_TOL
 
 from helpers import (
@@ -149,6 +149,11 @@ class TestAgainstBruteForce:
         )
         assert enumerate_vertices(ibs) == ((0.2, 0.3, 1.0 - math.fsum([0.2, 0.3])),)
         assert enumerate_vertices(ibs) == brute_force_vertices(ibs)
+        # X and Y cost least under this objective, so the bounded search
+        # visits their upper bounds first; it keeps the same copy.
+        profile = ((-1.0, 0.0), (-1.0, 0.0), (0.0, 0.0))
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+        assert enumerate_vertices(ibs, profile) == enumerate_vertices(ibs)
 
     def test_errors(self):
         for ibs in (ibs2(0.0, 0.1, 0.0, 0.2), ibs2(0.6, 0.7, 0.5, 0.6), _over_cap()):
@@ -216,6 +221,9 @@ class TestSnapEdge:
         )
         assert enumerate_vertices(ibs) == ((x, y, z, bound),)
         assert brute_force_vertices(ibs) == ((x, y, z, bound),)
+        profile = separable_profile("pal", ibs.focal_sets, ibs.frame)
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+        assert enumerate_vertices(ibs, profile) == ((x, y, z, bound),)
 
 
 class TestObjectiveCut:
@@ -271,6 +279,80 @@ class TestObjectiveCut:
         tied = brute_force_ties(ibs, profile)
         assert len(tied) == 2
         assert enumerate_vertices(ibs, profile) == tied
+
+    # Each node's children are visited toward the vertex that minimizes the
+    # secant sum (the LP vertex) first, so that vertex is the first leaf and
+    # the first incumbent.  Whatever it is, the tie set must equal the one
+    # filtered from the full list.
+
+    @staticmethod
+    def body(frame, bounds):
+        return IntervalBeliefStructure.from_mapping(
+            frame, {(label,): b for label, b in zip(frame.labels, bounds)}
+        )
+
+    @staticmethod
+    def first_scored(monkeypatch, ibs, profile):
+        scored = []
+
+        def recording(vec, profile):
+            scored.append(vec)
+            return entropy_from_profile(vec, profile)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope, "entropy_from_profile", recording)
+            enumerate_vertices(ibs, profile)
+        return scored[0]
+
+    def test_lp_vertex_is_the_unique_minimizer(self, monkeypatch):
+        # Linear terms: the LP vertex fills Y, the cheapest, to its bound.
+        ibs = self.body(FRAME3, [(0.0, 1.0), (0.0, 1.0), (0.0, 0.5)])
+        profile = ((0.3, 0.0), (0.1, 0.0), (0.2, 0.0))
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+        assert enumerate_vertices(ibs, profile) == ((0.0, 1.0, 0.0),)
+        assert self.first_scored(monkeypatch, ibs, profile) == (0.0, 1.0, 0.0)
+
+    def test_ties_above_the_lp_vertex_are_kept(self):
+        # The LP vertex (1, 0, 0) is worth 0; the vertices with Y or Z at 1,
+        # reached later, are worth 5e-11 and tie.  Their branches' bounds
+        # exceed the incumbent, so only the cut's margin keeps them.
+        ibs = self.body(FRAME3, [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)])
+        profile = ((0.0, 0.0), (5e-11, 0.0), (5e-11, 0.0))
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+        assert len(enumerate_vertices(ibs, profile)) == 3
+
+    def test_lp_vertex_ties_above_a_later_minimum(self, monkeypatch):
+        # X is linear and Y concave, so the LP vertex (0.75, 0.125, 0.125)
+        # has Y strictly inside its bounds, where the secant lies below the
+        # term.  Its value is 5e-11 above the minimum at (0.125, 0.75,
+        # 0.125), which the search reaches later; both tie.
+        ibs = self.body(FRAME3, [(0.0, 0.75), (0.0, 0.75), (0.125, 0.125)])
+        profile = ((-0.101955000785, 0.0), (0.0, 1.0), (0.0, 0.0))
+        lp, later = (0.75, 0.125, 0.125), (0.125, 0.75, 0.125)
+        gap = entropy_from_profile(lp, profile) - entropy_from_profile(later, profile)
+        assert 4e-11 < gap < 6e-11
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+        assert enumerate_vertices(ibs, profile) == (later, lp)
+        assert self.first_scored(monkeypatch, ibs, profile) == lp
+
+    @pytest.mark.parametrize(
+        "bounds, profile, ties",
+        [
+            # Tied slopes: the LP splits the mass between X and Y, so both
+            # lead with being free, and only one can be on a path.
+            ([(0.0, 0.6), (0.0, 0.6), (0.0, 1.0)], ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0)), 2),
+            # No coordinate partly filled: X and Y fill to their upper
+            # bounds, so the LP vertex is reached with Z, the last, free.
+            ([(0.0, 0.5), (0.0, 0.5), (0.0, 1.0)], ((-1.0, 0.0), (-1.0, 0.0), (0.0, 0.0)), 1),
+            # Lower bounds sum 5e-10 above 1: nothing to fill.
+            ([(0.5 + 5e-10, 0.6), (0.2, 0.3), (0.3, 0.5)], ((0.0, 1.0),) * 3, 1),
+        ],
+        ids=["tied-slopes", "no-partial-fill", "overfull-lower-bounds"],
+    )
+    def test_degenerate_lp_fills(self, bounds, profile, ties):
+        ibs = self.body(FRAME3, bounds)
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+        assert len(enumerate_vertices(ibs, profile)) == ties
 
 
 class TestLimitsAndContains:
