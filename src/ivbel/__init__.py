@@ -70,7 +70,6 @@ from .optimize import (
 from .polytope import contains, enumerate_vertices
 from .reference import (
     IfsElement,
-    LeeZhuParams,
     SongStages,
     denoeux_combine,
     denoeux_normalize,
@@ -98,7 +97,6 @@ __all__ = [
     "IntervalBeliefStructure",
     "IntervalMassResult",
     "IvbelError",
-    "LeeZhuParams",
     "MEASURE_IDS",
     "NormalizationError",
     "SEPARABLE_MEASURE_IDS",

@@ -29,7 +29,9 @@ from .core import (
     IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
+    _mass_result,
     degenerate_bpa,
+    from_bpa,
     is_normalized,
     normalization_steps,
     normalize,
@@ -49,7 +51,6 @@ from .formats import (
 from .fusion import dempster_combine_n, proposed_combine_report
 from .optimize import entropy_bounds
 from .reference import (
-    LeeZhuParams,
     denoeux_combine,
     denoeux_normalize,
     leezhu_combine,
@@ -228,7 +229,7 @@ def _run_engine(
     if method == "leezhu":
         if len(bodies) != 2:
             raise IvbelError("leezhu combines exactly two bodies")
-        return leezhu_combine(bodies[0], bodies[1], LeeZhuParams(w=w)), details
+        return leezhu_combine(bodies[0], bodies[1], w), details
 
     if method == "proposed":
         rep = proposed_combine_report(bodies, measure)
@@ -237,8 +238,6 @@ def _run_engine(
         for label, diag in zip(("fold.max", "fold.min"), rep.diagnostics):
             details.append(f"conflict {label}: K = {diag.conflict_mass:.4f}")
         details.extend(f"note: {n}" for n in rep.notes)
-        if rep.normalization_applied:
-            details.append("note: output bounds tightened to the normalized form")
         return rep.result, details
 
     if method == "wang":
@@ -269,8 +268,7 @@ def _run_engine(
                 )
         combined, diag = dempster_combine_n([degenerate_bpa(b) for b in bodies])
         details.append(f"cumulative conflict: K = {diag.conflict_mass:.4f}")
-        entries = tuple((fs, m, m) for fs, m in combined.entries)
-        return IntervalMassResult(bodies[0].frame, entries, normalized=True), details
+        return _mass_result(combined.frame, from_bpa(combined).entries), details
 
     raise IvbelError(f"unknown method {method!r}")
 

@@ -360,8 +360,13 @@ def _check_same_frame(bodies: Iterable[_Entries]) -> None:
 
 @dataclass(frozen=True)
 class ValidityVerdict:
-    ok: bool
+    """Why a structure admits no BPA, or ``None`` when it admits one."""
+
     reason: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -377,10 +382,10 @@ def validate_ibs(ibs: IntervalBeliefStructure) -> ValidityVerdict:
     sum_lo = math.fsum(ibs.lower_bounds)
     sum_hi = math.fsum(ibs.upper_bounds)
     if sum_lo > 1.0 + MASS_SUM_TOL:
-        return ValidityVerdict(False, f"lower bounds sum to {sum_lo:.12g} > 1")
+        return ValidityVerdict(f"lower bounds sum to {sum_lo:.12g} > 1")
     if sum_hi < 1.0 - MASS_SUM_TOL:
-        return ValidityVerdict(False, f"upper bounds sum to {sum_hi:.12g} < 1")
-    return ValidityVerdict(True)
+        return ValidityVerdict(f"upper bounds sum to {sum_hi:.12g} < 1")
+    return ValidityVerdict()
 
 
 def is_normalized(ibs: IntervalBeliefStructure) -> bool:
@@ -527,19 +532,24 @@ def pl(b: Bpa, a: FocalSet) -> float:
     return math.fsum(mass for fs, mass in b.entries if fs.bits & a.bits)
 
 
+def _pignistic_sums(frame: Frame, values: Iterable[tuple[FocalSet, float]]) -> dict[int, float]:
+    """Each value spread evenly over its set, summed per singleton bit (all kept)."""
+    sums = {1 << i: 0.0 for i in range(frame.size)}
+    for fs, value in values:
+        share = value / fs.cardinality
+        for i in range(frame.size):
+            if i in fs:
+                sums[1 << i] += share
+    return sums
+
+
 def pignistic(b: Bpa) -> Bpa:
     """Spread each focal set's mass uniformly over its elements.
 
     Returns a Bayesian BPA over the singletons.
     """
-    probs: dict[FocalSet, float] = {}
-    for fs, mass in b.entries:
-        share = mass / fs.cardinality
-        for i in range(b.frame.size):
-            if i in fs:
-                s = FocalSet(1 << i)
-                probs[s] = probs.get(s, 0.0) + share
-    return Bpa.from_mapping(b.frame, probs)
+    sums = _pignistic_sums(b.frame, b.entries)
+    return Bpa(b.frame, tuple((FocalSet(bit), p) for bit, p in sums.items()))
 
 
 def plausibility_transform(b: Bpa) -> Bpa:

@@ -35,16 +35,19 @@ def _xlog2(x: float) -> float:
 class EntropyMeasure:
     """A named uncertainty measure.
 
-    For separable measures ``weight(a, frame)`` gives ``k_A`` and ``beta``
-    the coefficient of the ``-m log2 m`` term.  Non-separable measures carry
-    a direct evaluator instead.
+    A separable measure has a ``weight(a, frame)`` giving ``k_A``, and
+    ``beta`` the coefficient of the ``-m log2 m`` term.  Non-separable
+    measures carry a direct evaluator instead.
     """
 
     id: str
-    separable: bool
     beta: float = 0.0
     weight: Callable[[FocalSet, Frame], float] | None = None
     evaluate: Callable[[Bpa], float] | None = None
+
+    @property
+    def separable(self) -> bool:
+        return self.weight is not None
 
     def __call__(self, b: Bpa) -> float:
         return entropy(self, b)
@@ -104,16 +107,16 @@ def _hohle(b: Bpa) -> float:
 _MEASURES: dict[str, EntropyMeasure] = {
     m.id: m
     for m in (
-        EntropyMeasure("dubois-prade", separable=True, beta=0.0, weight=_card_log),
-        EntropyMeasure("nguyen", separable=True, beta=1.0, weight=_zero_weight),
-        EntropyMeasure("deng", separable=True, beta=1.0, weight=_deng_weight),
-        EntropyMeasure("pal", separable=True, beta=1.0, weight=_card_log),
-        EntropyMeasure("qin", separable=True, beta=1.0, weight=_qin_weight),
-        EntropyMeasure("klir-ramer", separable=False, evaluate=_klir_ramer),
-        EntropyMeasure("klir-parviz", separable=False, evaluate=_klir_parviz),
-        EntropyMeasure("jirousek-shenoy", separable=False, evaluate=_jirousek_shenoy),
-        EntropyMeasure("yager", separable=False, evaluate=_yager),
-        EntropyMeasure("hohle", separable=False, evaluate=_hohle),
+        EntropyMeasure("dubois-prade", beta=0.0, weight=_card_log),
+        EntropyMeasure("nguyen", beta=1.0, weight=_zero_weight),
+        EntropyMeasure("deng", beta=1.0, weight=_deng_weight),
+        EntropyMeasure("pal", beta=1.0, weight=_card_log),
+        EntropyMeasure("qin", beta=1.0, weight=_qin_weight),
+        EntropyMeasure("klir-ramer", evaluate=_klir_ramer),
+        EntropyMeasure("klir-parviz", evaluate=_klir_parviz),
+        EntropyMeasure("jirousek-shenoy", evaluate=_jirousek_shenoy),
+        EntropyMeasure("yager", evaluate=_yager),
+        EntropyMeasure("hohle", evaluate=_hohle),
     )
 }
 
@@ -157,7 +160,6 @@ def separable_profile(
     m = measure(m)
     if not m.separable:
         raise IvbelError(f"unsupported objective: measure {m.id!r} is not separable")
-    assert m.weight is not None
     return tuple((m.weight(fs, frame), m.beta) for fs in focal_sets)
 
 

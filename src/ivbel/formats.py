@@ -251,8 +251,10 @@ def result_from_json(data: Any) -> tuple[IntervalMassResult, str | None]:
         _require(empty[0] <= empty[1], "$.empty", f"lo {empty[0]!r} exceeds hi {empty[1]!r}")
     normalized = data.get("normalized", False)
     _require(isinstance(normalized, bool), "$.normalized", "must be true or false")
+    method = data.get("method")
+    _require(method is None or isinstance(method, str), "$.method", "must be a string")
     result = IntervalMassResult(frame, entries, includes_empty=empty, normalized=normalized)
-    return result, data.get("method")
+    return result, method
 
 
 # ---------------------------------------------------------------------------

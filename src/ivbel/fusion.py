@@ -24,7 +24,6 @@ from .core import (
     _check_bodies,
     _check_same_frame,
     _mass_result,
-    normalize,
 )
 from .entropy import EntropyMeasure, measure
 from .optimize import entropy_bounds
@@ -57,7 +56,6 @@ class CombinationReport:
     result: IntervalMassResult
     diagnostics: tuple[DempsterDiagnostics, ...] = ()
     intermediate_bpas: tuple[tuple[str, Bpa], ...] = ()
-    normalization_applied: bool = False
     notes: tuple[str, ...] = ()
 
 
@@ -158,7 +156,8 @@ def proposed_combine_report(
     m: str | EntropyMeasure = "pal",
 ) -> CombinationReport:
     """Like :func:`proposed_combine`, returning the full audit trail:
-    per-body extremal BPAs, fold conflicts, and normalization actions."""
+    per-body extremal BPAs, fold conflicts and minimum ties.  The hull of
+    two folded BPAs is normalized by construction, so it needs no repair."""
     _check_bodies(bodies, normalized=True)
     meas = measure(m)
     notes: list[str] = []
@@ -196,17 +195,10 @@ def proposed_combine_report(
         v2 = folded_min.mass(fs)
         entries.append((fs, min(v1, v2), max(v1, v2)))
 
-    result = _mass_result(frame, entries)
-    renormalized = not result.normalized
-    if renormalized:
-        result = _mass_result(frame, normalize(result.as_ibs()).entries)
-        notes.append("result bounds were not tight; normalized after combination")
-
     return CombinationReport(
         method=f"proposed[{meas.id}]",
-        result=result,
+        result=_mass_result(frame, entries),
         diagnostics=(diag_max, diag_min),
         intermediate_bpas=tuple(intermediates),
-        normalization_applied=renormalized,
         notes=tuple(notes),
     )

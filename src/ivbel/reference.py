@@ -32,13 +32,13 @@ from .core import (
     TotalConflictError,
     _check_bodies,
     _mass_result,
+    _pignistic_sums,
     normalize,
 )
 from .fusion import _products, _surviving_mass, _total_conflict
 from .polytope import enumerate_vertices
 
 __all__ = [
-    "LeeZhuParams",
     "leezhu_combine",
     "denoeux_combine",
     "denoeux_normalize",
@@ -54,17 +54,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Lee-Zhu
-
-
-@dataclass(frozen=True)
-class LeeZhuParams:
-    """Order ``w >= 1`` of the t-conorm/t-norm pair used by Lee-Zhu."""
-
-    w: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not self.w >= 1.0:
-            raise IvbelError(f"Lee-Zhu order must satisfy w >= 1, got {self.w}")
 
 
 def _pnorm2(x: float, y: float, w: float) -> float:
@@ -87,9 +76,10 @@ def _lz_intersection(x: float, y: float, w: float) -> float:
 def leezhu_combine(
     ibs1: IntervalBeliefStructure,
     ibs2: IntervalBeliefStructure,
-    params: LeeZhuParams = LeeZhuParams(),
+    w: float = 2.0,
 ) -> IntervalMassResult:
-    """Lee-Zhu combination of two interval bodies.
+    """Lee-Zhu combination of two interval bodies, with the t-conorm/t-norm
+    pair of order ``w >= 1``.
 
     Each pair of focal sets contributes the soft product of its bound pair
     to the pair's intersection; contributions to one focal set accumulate
@@ -97,8 +87,9 @@ def leezhu_combine(
     mass is lost under conflict and the output is generally not normalized.
     Inputs need not be normalized.
     """
+    if not w >= 1.0:
+        raise IvbelError(f"Lee-Zhu order must satisfy w >= 1, got {w}")
     _check_bodies((ibs1, ibs2), normalized=False)
-    w = params.w
     lows: dict[int, float] = {}
     highs: dict[int, float] = {}
     for f1, lo1, hi1 in ibs1.entries:
@@ -253,8 +244,8 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
             surviving = _surviving_mass(masses)
             if not surviving:
                 continue
-            # Scaled as in dempster_combine.  A ratio exceeds 1 only when a
-            # vertex coordinate lies below zero within MASS_SUM_TOL.
+            # Divided by the surviving mass (dempster_combine multiplies by its
+            # reciprocal); above 1 only for a coordinate below zero within MASS_SUM_TOL.
             yield {t: min(m / surviving, 1.0) for t, m in masses.items() if t}
 
     lows, highs = _extrema(targets, ratios())
@@ -321,15 +312,8 @@ def interval_pignistic(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
     normalized so every bound is attainable.
     """
     frame = ibs.frame
-    lows = {s.bits: 0.0 for s in frame.singletons()}
-    highs = {s.bits: 0.0 for s in frame.singletons()}
-    for fs, lo, hi in ibs.entries:
-        card = fs.cardinality
-        for i in range(frame.size):
-            if i in fs:
-                bit = 1 << i
-                lows[bit] += lo / card
-                highs[bit] += hi / card
+    lows = _pignistic_sums(frame, ((fs, lo) for fs, lo, _ in ibs.entries))
+    highs = _pignistic_sums(frame, ((fs, hi) for fs, _, hi in ibs.entries))
     entries = tuple(
         (FocalSet(bits), lows[bits], min(1.0, highs[bits])) for bits in sorted(lows)
     )
@@ -383,14 +367,13 @@ def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> SongStages
     raw = _mass_result(
         frame, ((e.target, min(e.mu, 1.0 - e.gamma), 1.0 - e.gamma) for e in combined)
     )
-    result = IntervalMassResult(frame, normalize(raw.as_ibs()).entries, normalized=True)
     return SongStages(
         normalized_bodies=normalized_bodies,
         pignistic_bodies=pignistic_bodies,
         ifs_bodies=tuple(ifs_bodies),
         combined_ifs=tuple(combined),
         raw=raw,
-        result=result,
+        result=_mass_result(frame, normalize(raw.as_ibs()).entries),
     )
 
 

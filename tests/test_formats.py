@@ -201,6 +201,7 @@ class TestResultJson:
         ("empty", [0.5, 0.2], r"\$\.empty: lo 0\.5 exceeds hi 0\.2"),
         ("normalized", "no", r"\$\.normalized: must be true or false"),
         ("format", True, r"\$\.format: unsupported format True"),
+        ("method", {"x": 1}, r"\$\.method: must be a string"),
     ],
     ids=[
         "entries-not-a-list",
@@ -210,6 +211,7 @@ class TestResultJson:
         "empty-lo-above-hi",
         "normalized-not-a-bool",
         "format-a-bool",
+        "method-not-a-string",
     ],
 )
 def test_result_json_schema(field, value, where):

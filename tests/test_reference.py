@@ -17,7 +17,6 @@ from ivbel import (
     IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
-    LeeZhuParams,
     TotalConflictError,
     dempster_combine,
     denoeux_combine,
@@ -77,9 +76,12 @@ def test_engines_share_the_normalized_input_contract(engine):
 
 
 class TestLeeZhu:
-    def test_order_below_one_rejected(self):
+    @pytest.mark.parametrize("w", [0.5, math.nan])
+    def test_order_below_one_rejected(self, w):
+        # Only ``not w >= 1`` rejects NaN.
+        ev = load_bundled("example31")
         with pytest.raises(IvbelError, match="w >= 1"):
-            LeeZhuParams(0.5)
+            leezhu_combine(ev.bodies[0][1], ev.bodies[1][1], w)
 
     def test_hand_worked_lukasiewicz_row(self):
         # At w=1 the pair is (bounded sum, bounded difference), so every
@@ -87,7 +89,7 @@ class TestLeeZhu:
         # addition; worked through all nine focal-set pairs on paper.
         ev = load_bundled("example31")
         frame = ev.frame
-        result = leezhu_combine(ev.bodies[0][1], ev.bodies[1][1], LeeZhuParams(1.0))
+        result = leezhu_combine(ev.bodies[0][1], ev.bodies[1][1], 1.0)
         expected = {
             ("P",): (0.0, 0.6),
             ("L",): (0.0, 0.0),
@@ -105,7 +107,7 @@ class TestLeeZhu:
         ev = load_bundled("example31")
         frame = ev.frame
         ibs1, ibs2 = ev.bodies[0][1], ev.bodies[1][1]
-        result = leezhu_combine(ibs1, ibs2, LeeZhuParams(256.0))
+        result = leezhu_combine(ibs1, ibs2, 256.0)
         # As w grows the t-conorm tends to max and the t-norm to min.
         maxmin: dict[int, tuple[float, float]] = {}
         for f1, lo1, hi1 in ibs1.entries:
@@ -129,9 +131,9 @@ class TestLeeZhu:
         # answer, so the two calls must differ on this structure.
         ev = load_bundled("example31")
         ibs1, ibs2 = ev.bodies[0][1], ev.bodies[1][1]
-        raw = leezhu_combine(ibs1, ibs2, LeeZhuParams(2.0))
+        raw = leezhu_combine(ibs1, ibs2, 2.0)
         cooked = leezhu_combine(
-            normalize(ibs1), normalize(ibs2), LeeZhuParams(2.0)
+            normalize(ibs1), normalize(ibs2), 2.0
         )
         assert any(
             raw.interval(fs) != pytest.approx(cooked.interval(fs), abs=1e-9)

@@ -11,11 +11,13 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 TOLERANCE_LITERAL = re.compile(r"[eE]-\d")
 # reproduce.py compares against printed reference tables; its 1e-3, 5e-3 and
 # 1e-2 are the stated precision of those tables, not numerical tolerances.
-EXEMPT = {"reproduce.py"}
+TABLE_PRECISION = {"reproduce.py": {"1e-3", "5e-3", "1e-2"}}
 
 
 def _stray_literals(path: Path) -> list[str]:
-    """``...e-N`` number literals outside module-level constant definitions."""
+    """``...e-N`` number literals outside module-level constant definitions,
+    apart from the table precisions the file may hold."""
+    allowed = TABLE_PRECISION.get(path.name, set())
     stray = []
     statement: list[tokenize.TokenInfo] = []
     with path.open(encoding="utf-8") as fh:
@@ -27,6 +29,8 @@ def _stray_literals(path: Path) -> list[str]:
                 continue
             statement.append(tok)
             if tok.type != tokenize.NUMBER or not TOLERANCE_LITERAL.search(tok.string):
+                continue
+            if tok.string in allowed:
                 continue
             head = statement[0]
             is_constant = (
@@ -42,12 +46,7 @@ def _stray_literals(path: Path) -> list[str]:
 
 def test_tolerance_literals_are_named_constants():
     assert (SRC / "core.py").is_file()
-    stray = [
-        hit
-        for path in sorted(SRC.glob("*.py"))
-        if path.name not in EXEMPT
-        for hit in _stray_literals(path)
-    ]
+    stray = [hit for path in sorted(SRC.glob("*.py")) for hit in _stray_literals(path)]
     assert stray == [], "name these tolerances as module-level constants: " + ", ".join(stray)
 
 
