@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 from . import __version__
 from .core import (
@@ -61,9 +62,13 @@ from .reproduce import TARGETS, reproduce
 
 METHODS = ("proposed", "wang", "denoeux", "leezhu", "song", "dempster")
 
-_TOLERANCE_FOOTER = (
-    f"tolerances: mass sum {MASS_SUM_TOL:g}, zero drop {MASS_DROP_EPS:g}"
+_TOLERANCE_FOOTER = f"tolerances: mass sum {MASS_SUM_TOL:g}, zero drop {MASS_DROP_EPS:g}"
+
+# The fields of a reproduce check, in the order the JSON document lists them.
+_CELL_FIELDS = (
+    "column", "row", "bound", "expected", "actual", "delta", "tol", "required", "passed"
 )
+_ASSERTION_FIELDS = ("label", "passed", "detail")
 
 
 def _fail(message: str) -> int:
@@ -71,8 +76,41 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+def _emit(
+    fmt: str,
+    doc: dict,
+    lines: Sequence[str],
+    *,
+    notes: Sequence[str] = (),
+    footer: bool = True,
+    csv_column: str = "",
+    csv_sources: Sequence[tuple[str, IntervalBeliefStructure | IntervalMassResult]] = (),
+) -> None:
+    """Print one command's output in the chosen format.
+
+    ``json`` prints ``doc``.  ``csv`` prints one ``(source, set, lo, hi)`` row
+    per entry of each named source, under ``csv_column``, and the notes on
+    stderr.  ``table`` prints ``lines``, then each note as a ``note:`` line,
+    then the tolerance footer when ``footer`` is set.
+    """
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+        return
+    if fmt == "csv":
+        rows = [
+            (source, body.frame.format_set(fs), lo, hi)
+            for source, body in csv_sources for fs, lo, hi in body
+        ]
+        print(render_csv(csv_column, rows), end="")
+        for note in notes:
+            print(f"note: {note}", file=sys.stderr)
+        return
+    for line in lines:
+        print(line)
+    for note in notes:
+        print(f"note: {note}")
+    if footer:
+        print(_TOLERANCE_FOOTER)
 
 
 def _describe_steps(steps: tuple[str, ...]) -> str:
@@ -82,13 +120,6 @@ def _describe_steps(steps: tuple[str, ...]) -> str:
 def _interval_cells(body: IntervalBeliefStructure) -> str:
     frame = body.frame
     return ", ".join(f"{frame.format_set(fs)} [{lo:.4f}, {hi:.4f}]" for fs, lo, hi in body)
-
-
-def _echo_inputs(ev: EvidenceFile) -> list[str]:
-    frame = ev.frame
-    lines = [f"frame: {frame.format_set(frame.full_set)} ({len(ev.bodies)} bodies)"]
-    lines.extend(f"  {name}: {_interval_cells(body)}" for name, body in ev.bodies)
-    return lines
 
 
 def _bpa_cells(bpa: Bpa) -> str:
@@ -103,64 +134,40 @@ def _yes_no(flag: bool) -> str:
 def cmd_validate(args: argparse.Namespace) -> int:
     ev = load_evidence(args.file)
     results = []
+    rows = []
     for name, body in ev.bodies:
         verdict = validate_ibs(body)
+        valid = bool(verdict)
+        normalized = valid and is_normalized(body)
         results.append(
-            {
-                "name": name,
-                "valid": bool(verdict),
-                "normalized": bool(verdict) and is_normalized(body),
-                "reason": verdict.reason,
-            }
+            {"name": name, "valid": valid, "normalized": normalized, "reason": verdict.reason}
         )
-    if args.format == "json":
-        _print_json({"format": FORMAT_VERSION, "command": "validate", "bodies": results})
-    else:
-        rows = [
-            [r["name"], _yes_no(r["valid"]), _yes_no(r["normalized"]), r["reason"] or ""]
-            for r in results
-        ]
-        print(render_table(["body", "valid", "normalized", "reason"], rows))
+        rows.append([name, _yes_no(valid), _yes_no(normalized), verdict.reason or ""])
+    table = render_table(["body", "valid", "normalized", "reason"], rows)
+    doc = {"format": FORMAT_VERSION, "command": "validate", "bodies": results}
+    _emit(args.format, doc, [table], footer=False)
     return 0
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     ev = load_evidence(args.file)
-    frame = ev.frame
     normalized = []
-    steps = {}
+    lines = []
     for name, body in ev.bodies:
-        body, steps[name] = normalization_steps(body)
+        body, steps = normalization_steps(body)
         normalized.append((name, body))
-
-    if args.format == "json":
-        _print_json(evidence_to_json(EvidenceFile(frame, tuple(normalized))))
-    elif args.format == "csv":
-        rows = [
-            (name, frame.format_set(fs), lo, hi)
-            for name, body in normalized
-            for fs, lo, hi in body.entries
-        ]
-        print(render_csv("body", rows), end="")
-    else:
-        for name, body in normalized:
-            print(f"{name}: {_describe_steps(steps[name])}")
-            print(render_intervals_table(frame, body.entries))
-        print(_TOLERANCE_FOOTER)
+        lines.append(f"{name}: {_describe_steps(steps)}")
+        lines.append(render_intervals_table(ev.frame, body.entries))
+    doc = evidence_to_json(EvidenceFile(ev.frame, tuple(normalized)))
+    _emit(args.format, doc, lines, csv_column="body", csv_sources=normalized)
     return 0
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     ev = load_evidence(args.file)
-    if args.measure == "all":
-        requested = list(MEASURE_IDS)
-    else:
-        requested = [measure(args.measure).id]
+    requested = MEASURE_IDS if args.measure == "all" else (measure(args.measure).id,)
 
-    bodies = []
-    for name, body in ev.bodies:
-        bodies.append((name, normalize(body) if args.normalize_inputs else body))
-
+    bodies = [(n, normalize(b) if args.normalize_inputs else b) for n, b in ev.bodies]
     rows = []
     notes = []
     for name, body in bodies:
@@ -181,28 +188,13 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             else:
                 entropy_bounds(body, meas)  # raises with the engine's message
 
-    if args.format == "json":
-        _print_json(
-            {
-                "format": FORMAT_VERSION,
-                "command": "entropy",
-                "results": [
-                    {"body": n, "measure": m, "h_min": lo, "h_max": hi}
-                    for n, m, lo, hi in rows
-                ],
-                "notes": notes,
-            }
-        )
-    else:
-        print(
-            render_table(
-                ["body", "measure", "H min", "H max"],
-                [[n, m, f"{lo:.4f}", f"{hi:.4f}"] for n, m, lo, hi in rows],
-            )
-        )
-        for note in notes:
-            print(f"note: {note}")
-        print(_TOLERANCE_FOOTER)
+    results = [{"body": n, "measure": m, "h_min": lo, "h_max": hi} for n, m, lo, hi in rows]
+    table = render_table(
+        ["body", "measure", "H min", "H max"],
+        [[n, m, f"{lo:.4f}", f"{hi:.4f}"] for n, m, lo, hi in rows],
+    )
+    doc = {"format": FORMAT_VERSION, "command": "entropy", "results": results, "notes": notes}
+    _emit(args.format, doc, [table], notes=notes)
     return 0
 
 
@@ -224,40 +216,33 @@ def _run_engine(
 ) -> tuple[IntervalMassResult, list[str]]:
     """Run one engine on the bodies as given; returns (result, table-mode
     detail lines)."""
-    details: list[str] = []
-
     if method == "leezhu":
         if len(bodies) != 2:
             raise IvbelError("leezhu combines exactly two bodies")
-        return leezhu_combine(bodies[0], bodies[1], w), details
+        return leezhu_combine(bodies[0], bodies[1], w), []
 
     if method == "proposed":
         rep = proposed_combine_report(bodies, measure)
-        for label, bpa in rep.intermediate_bpas:
-            details.append(f"{label}: {_bpa_cells(bpa)}")
+        details = [f"{label}: {_bpa_cells(bpa)}" for label, bpa in rep.intermediate_bpas]
         for label, diag in zip(("fold.max", "fold.min"), rep.diagnostics):
             details.append(f"conflict {label}: K = {diag.conflict_mass:.4f}")
-        details.extend(f"note: {n}" for n in rep.notes)
-        return rep.result, details
+        return rep.result, details + [f"note: {n}" for n in rep.notes]
 
     if method == "wang":
-        return wang_combine(bodies), details
+        return wang_combine(bodies), []
 
     if method == "denoeux":
         if len(bodies) != 2:
             raise IvbelError("denoeux combines exactly two bodies")
         raw = denoeux_combine(bodies[0], bodies[1])
-        if raw.includes_empty is not None:
-            e_lo, e_hi = raw.includes_empty
-            details.append(f"mass on the empty set before renormalization:"
-                           f" [{e_lo:.4f}, {e_hi:.4f}]")
-        return denoeux_normalize(raw), details
+        e_lo, e_hi = raw.includes_empty
+        empty = f"mass on the empty set before renormalization: [{e_lo:.4f}, {e_hi:.4f}]"
+        return denoeux_normalize(raw), [empty]
 
     if method == "song":
         det = song_combine_detail(bodies)
-        for name, body in zip(names, det.pignistic_bodies):
-            details.append(f"pignistic {name}: {_interval_cells(body)}")
-        return det.result, details
+        pignistic = zip(names, det.pignistic_bodies)
+        return det.result, [f"pignistic {n}: {_interval_cells(b)}" for n, b in pignistic]
 
     if method == "dempster":
         for name, body in zip(names, bodies):
@@ -267,8 +252,8 @@ def _run_engine(
                     f" body {name!r} has interval bounds"
                 )
         combined, diag = dempster_combine_n([degenerate_bpa(b) for b in bodies])
-        details.append(f"cumulative conflict: K = {diag.conflict_mass:.4f}")
-        return _mass_result(combined.frame, from_bpa(combined).entries), details
+        result = _mass_result(combined.frame, from_bpa(combined).entries)
+        return result, [f"cumulative conflict: K = {diag.conflict_mass:.4f}"]
 
     raise IvbelError(f"unknown method {method!r}")
 
@@ -284,39 +269,26 @@ def cmd_combine(args: argparse.Namespace) -> int:
     ev = load_evidence(args.file)
     if len(ev.bodies) < 2:
         return _fail("no evidence: need at least two bodies to combine")
+    frame = ev.frame
     names = [name for name, _ in ev.bodies]
     bodies = [body for _, body in ev.bodies]
-    details: list[str] = []
+    method_label = _method_label(args.method, measure=measure, w=w)
+    lines = [f"frame: {frame.format_set(frame.full_set)} ({len(bodies)} bodies)"]
+    lines.extend(f"  {name}: {_interval_cells(body)}" for name, body in ev.bodies)
+    lines.append(f"method: {method_label}")
     if args.normalize_inputs and args.method == "leezhu":
         # This engine is defined on the structures as given; the bundled
         # reference rows only reproduce without prior normalization.
-        details.append("inputs passed through unchanged (engine convention)")
+        lines.append("inputs passed through unchanged (engine convention)")
     elif args.normalize_inputs:
         for i, name in enumerate(names):
             bodies[i], steps = normalization_steps(bodies[i])
-            details.append(f"normalization {name}: {_describe_steps(steps)}")
-    result, engine_details = _run_engine(
-        args.method, names, bodies, measure=measure, w=w
-    )
-    details.extend(engine_details)
-
-    method_label = _method_label(args.method, measure=measure, w=w)
-    if args.format == "json":
-        _print_json(result_to_json(result, method=method_label))
-    elif args.format == "csv":
-        frame = result.frame
-        rows = [
-            (method_label, frame.format_set(fs), lo, hi) for fs, lo, hi in result.entries
-        ]
-        print(render_csv("method", rows), end="")
-    else:
-        for line in _echo_inputs(ev):
-            print(line)
-        print(f"method: {method_label}")
-        for line in details:
-            print(line)
-        print(render_intervals_table(result.frame, result.entries))
-        print(_TOLERANCE_FOOTER)
+            lines.append(f"normalization {name}: {_describe_steps(steps)}")
+    result, details = _run_engine(args.method, names, bodies, measure=measure, w=w)
+    lines.extend(details)
+    lines.append(render_intervals_table(result.frame, result.entries))
+    doc = result_to_json(result, method=method_label)
+    _emit(args.format, doc, lines, csv_column="method", csv_sources=[(method_label, result)])
     return 0
 
 
@@ -324,7 +296,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ev = load_evidence(args.file)
     if len(ev.bodies) < 2:
         return _fail("no evidence: need at least two bodies to compare")
-    frame = ev.frame
     names = [name for name, _ in ev.bodies]
     bodies = [normalize(body) for _, body in ev.bodies]
 
@@ -343,87 +314,42 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not columns:
         return _fail("every engine failed: " + "; ".join(notes))
 
-    if args.format == "json":
-        _print_json(
-            {
-                "format": FORMAT_VERSION,
-                "command": "compare",
-                "results": {name: result_to_json(res) for name, res in columns},
-                "notes": notes,
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            (name, frame.format_set(fs), lo, hi)
-            for name, res in columns
-            for fs, lo, hi in res.entries
-        ]
-        print(render_csv("method", rows), end="")
-        for note in notes:
-            print(f"note: {note}", file=sys.stderr)
-    else:
-        focal_bits = sorted(
-            {fs.bits for _, res in columns for fs, _, _ in res.entries}
-        )
-        headers = ["focal set"] + [name for name, _ in columns]
-        rows = []
-        for bits in focal_bits:
-            row = [frame.format_set(FocalSet(bits))]
-            for _, res in columns:
-                cells = {fs.bits: (lo, hi) for fs, lo, hi in res.entries}
-                if bits in cells:
-                    lo, hi = cells[bits]
-                    row.append(f"[{lo:.4f}, {hi:.4f}]")
-                else:
-                    row.append("-")
-            rows.append(row)
-        print(render_table(headers, rows))
-        for note in notes:
-            print(f"note: {note}")
-        print(_TOLERANCE_FOOTER)
+    cells = [
+        {fs.bits: f"[{lo:.4f}, {hi:.4f}]" for fs, lo, hi in res.entries}
+        for _, res in columns
+    ]
+    rows = [
+        [ev.frame.format_set(FocalSet(bits)), *(col.get(bits, "-") for col in cells)]
+        for bits in sorted(set().union(*cells))
+    ]
+    results = {name: result_to_json(res) for name, res in columns}
+    doc = {"format": FORMAT_VERSION, "command": "compare", "results": results, "notes": notes}
+    table = render_table(["focal set", *results], rows)
+    _emit(args.format, doc, [table], notes=notes, csv_column="method", csv_sources=columns)
     return 0
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     targets = TARGETS if args.target == "all" else (args.target,)
     reports = [reproduce(t) for t in targets]
-    if args.format == "json":
-        _print_json(
+    doc = {
+        "format": FORMAT_VERSION,
+        "command": "reproduce",
+        "targets": [
             {
-                "format": FORMAT_VERSION,
-                "command": "reproduce",
-                "targets": [
-                    {
-                        "target": rep.target,
-                        "ok": rep.ok,
-                        "cells": [
-                            {
-                                "column": c.column,
-                                "row": c.row,
-                                "bound": c.bound,
-                                "expected": c.expected,
-                                "actual": c.actual,
-                                "delta": c.delta,
-                                "tol": c.tol,
-                                "required": c.required,
-                                "passed": c.passed,
-                            }
-                            for c in rep.cells
-                        ],
-                        "assertions": [
-                            {"label": a.label, "passed": a.passed, "detail": a.detail}
-                            for a in rep.assertions
-                        ],
-                        "notes": list(rep.notes),
-                    }
-                    for rep in reports
+                "target": rep.target,
+                "ok": rep.ok,
+                "cells": [{k: getattr(c, k) for k in _CELL_FIELDS} for c in rep.cells],
+                "assertions": [
+                    {k: getattr(a, k) for k in _ASSERTION_FIELDS} for a in rep.assertions
                 ],
+                "notes": list(rep.notes),
             }
-        )
-    else:
-        for rep in reports:
-            for line in rep.lines():
-                print(line)
+            for rep in reports
+        ],
+    }
+    lines = [line for rep in reports for line in rep.lines()]
+    _emit(args.format, doc, lines, footer=False)
     return 0 if all(rep.ok for rep in reports) else 1
 
 
@@ -511,9 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IvbelError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (IvbelError, OSError) as exc:
         return _fail(str(exc))
 
 

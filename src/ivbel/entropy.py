@@ -45,6 +45,10 @@ class EntropyMeasure:
     weight: Callable[[FocalSet, Frame], float] | None = None
     evaluate: Callable[[Bpa], float] | None = None
 
+    def __post_init__(self) -> None:
+        if self.weight is None and self.evaluate is None:
+            raise IvbelError(f"measure {self.id!r} needs a weight or an evaluator")
+
     @property
     def separable(self) -> bool:
         return self.weight is not None
@@ -145,7 +149,6 @@ def entropy(m: str | EntropyMeasure, b: Bpa) -> float:
         return entropy_from_profile(
             (mass for _, mass in b.entries), separable_profile(m, b.focal_sets, b.frame)
         )
-    assert m.evaluate is not None
     return m.evaluate(b)
 
 

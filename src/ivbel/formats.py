@@ -36,6 +36,7 @@ from .core import (
     IntervalMassResult,
     IvbelError,
     SchemaError,
+    is_normalized,
 )
 
 __all__ = [
@@ -254,6 +255,12 @@ def result_from_json(data: Any) -> tuple[IntervalMassResult, str | None]:
     method = data.get("method")
     _require(method is None or isinstance(method, str), "$.method", "must be a string")
     result = IntervalMassResult(frame, entries, includes_empty=empty, normalized=normalized)
+    # A raw result may pass the test without claiming it, so only true is checked.
+    _require(
+        not normalized or (bool(result.entries) and is_normalized(result.as_ibs())),
+        "$.normalized",
+        "true, but the entries are not normalized",
+    )
     return result, method
 
 

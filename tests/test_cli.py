@@ -144,6 +144,14 @@ class TestFormatContract:
         rc, out, err = run(capsys, *_command_argv(command), "--format", fmt)
         assert rc in ((0, 1) if command == "reproduce" else (0,))
         assert out and not err
+        if fmt == "json":
+            assert json.loads(out)["format"] == 1
+        elif fmt == "csv":
+            source = "body" if command == "normalize" else "method"
+            assert out.startswith(f"{source},focal_set,lo,hi\n")
+        else:
+            footer = out.splitlines()[-1].startswith("tolerances: ")
+            assert footer == (command not in ("validate", "reproduce"))
 
     @pytest.mark.parametrize(
         "command,fmt",

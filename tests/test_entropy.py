@@ -11,6 +11,7 @@ from ivbel import (
     MEASURE_IDS,
     SEPARABLE_MEASURE_IDS,
     Bpa,
+    EntropyMeasure,
     Frame,
     IvbelError,
     entropy,
@@ -152,6 +153,10 @@ class TestApi:
     def test_unknown_measure(self):
         with pytest.raises(IvbelError, match="unknown measure id 'shannon'"):
             entropy("shannon", NESTED)
+
+    def test_measure_needs_weight_or_evaluator(self):
+        with pytest.raises(IvbelError, match="needs a weight or an evaluator"):
+            EntropyMeasure("x")
 
     def test_profile_rejects_non_separable(self):
         with pytest.raises(IvbelError, match="is not separable"):

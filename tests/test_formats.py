@@ -191,17 +191,38 @@ class TestResultJson:
             result_from_json(data)
 
 
+# Upper bounds on {A} and {B} that sum to 0.4: no BPA fits them.
+_INVALID_BOUNDS = [{"set": ["A"], "lo": 0, "hi": 0.2}, {"set": ["B"], "lo": 0, "hi": 0.2}]
+
+
 @pytest.mark.parametrize(
-    "field, value, where",
+    "changes, where",
     [
-        ("entries", 5, r"\$\.entries: must be a list"),
-        ("set", 5, r"\$\.entries\[0\]\.set: must be a non-empty list"),
-        ("frame", "ab", r"\$\.frame: must be a non-empty list"),
-        ("entries", [], None),
-        ("empty", [0.5, 0.2], r"\$\.empty: lo 0\.5 exceeds hi 0\.2"),
-        ("normalized", "no", r"\$\.normalized: must be true or false"),
-        ("format", True, r"\$\.format: unsupported format True"),
-        ("method", {"x": 1}, r"\$\.method: must be a string"),
+        ({"entries": 5}, r"\$\.entries: must be a list"),
+        (
+            {"entries": [{"set": 5, "lo": 0.2, "hi": 0.7}]},
+            r"\$\.entries\[0\]\.set: must be a non-empty list",
+        ),
+        ({"frame": "ab"}, r"\$\.frame: must be a non-empty list"),
+        ({"entries": []}, None),
+        ({"empty": [0.5, 0.2]}, r"\$\.empty: lo 0\.5 exceeds hi 0\.2"),
+        ({"normalized": "no"}, r"\$\.normalized: must be true or false"),
+        ({"format": True}, r"\$\.format: unsupported format True"),
+        ({"method": {"x": 1}}, r"\$\.method: must be a string"),
+        (
+            {
+                "frame": ["A", "B"],
+                "entries": _INVALID_BOUNDS,
+                "empty": None,
+                "normalized": True,
+                "method": None,
+            },
+            r"\$\.normalized: true, but the entries are not normalized",
+        ),
+        (
+            {"entries": [], "empty": None, "normalized": True, "method": None},
+            r"\$\.normalized: true, but the entries are not normalized",
+        ),
     ],
     ids=[
         "entries-not-a-list",
@@ -212,16 +233,15 @@ class TestResultJson:
         "normalized-not-a-bool",
         "format-a-bool",
         "method-not-a-string",
+        "normalized-claimed-for-invalid-bounds",
+        "normalized-claimed-for-no-entries",
     ],
 )
-def test_result_json_schema(field, value, where):
+def test_result_json_schema(changes, where):
     frame = Frame(("a", "b"))
     result = IntervalMassResult(frame, ((frame.full_set, 0.2, 0.7),), (0.3, 0.8))
     data = result_to_json(result, method="denoeux")
-    if field == "set":
-        data["entries"][0]["set"] = value
-    else:
-        data[field] = value
+    data.update(changes)
     if where is not None:
         with pytest.raises(SchemaError, match=where):
             result_from_json(data)
