@@ -213,23 +213,23 @@ def _run_engine(
     *,
     measure: str = "pal",
     w: float = 2.0,
-) -> tuple[IntervalMassResult, list[str]]:
+) -> tuple[IntervalMassResult, list[str], list[str]]:
     """Run one engine on the bodies as given; returns (result, table-mode
-    detail lines)."""
+    detail lines, notes)."""
     if method == "leezhu":
         if len(bodies) != 2:
             raise IvbelError("leezhu combines exactly two bodies")
-        return leezhu_combine(bodies[0], bodies[1], w), []
+        return leezhu_combine(bodies[0], bodies[1], w), [], []
 
     if method == "proposed":
         rep = proposed_combine_report(bodies, measure)
         details = [f"{label}: {_bpa_cells(bpa)}" for label, bpa in rep.intermediate_bpas]
         for label, diag in zip(("fold.max", "fold.min"), rep.diagnostics):
             details.append(f"conflict {label}: K = {diag.conflict_mass:.4f}")
-        return rep.result, details + [f"note: {n}" for n in rep.notes]
+        return rep.result, details, list(rep.notes)
 
     if method == "wang":
-        return wang_combine(bodies), []
+        return wang_combine(bodies), [], []
 
     if method == "denoeux":
         if len(bodies) != 2:
@@ -237,12 +237,12 @@ def _run_engine(
         raw = denoeux_combine(bodies[0], bodies[1])
         e_lo, e_hi = raw.includes_empty
         empty = f"mass on the empty set before renormalization: [{e_lo:.4f}, {e_hi:.4f}]"
-        return denoeux_normalize(raw), [empty]
+        return denoeux_normalize(raw), [empty], []
 
     if method == "song":
         det = song_combine_detail(bodies)
         pignistic = zip(names, det.pignistic_bodies)
-        return det.result, [f"pignistic {n}: {_interval_cells(b)}" for n, b in pignistic]
+        return det.result, [f"pignistic {n}: {_interval_cells(b)}" for n, b in pignistic], []
 
     if method == "dempster":
         for name, body in zip(names, bodies):
@@ -253,7 +253,7 @@ def _run_engine(
                 )
         combined, diag = dempster_combine_n([degenerate_bpa(b) for b in bodies])
         result = _mass_result(combined.frame, from_bpa(combined).entries)
-        return result, [f"cumulative conflict: K = {diag.conflict_mass:.4f}"]
+        return result, [f"cumulative conflict: K = {diag.conflict_mass:.4f}"], []
 
     raise IvbelError(f"unknown method {method!r}")
 
@@ -284,11 +284,21 @@ def cmd_combine(args: argparse.Namespace) -> int:
         for i, name in enumerate(names):
             bodies[i], steps = normalization_steps(bodies[i])
             lines.append(f"normalization {name}: {_describe_steps(steps)}")
-    result, details = _run_engine(args.method, names, bodies, measure=measure, w=w)
+    result, details, notes = _run_engine(args.method, names, bodies, measure=measure, w=w)
     lines.extend(details)
+    lines.extend(f"note: {n}" for n in notes)
     lines.append(render_intervals_table(result.frame, result.entries))
     doc = result_to_json(result, method=method_label)
-    _emit(args.format, doc, lines, csv_column="method", csv_sources=[(method_label, result)])
+    # A table shows the notes above the result, so only csv hands them to
+    # _emit (for stderr); the json document is the result file format.
+    _emit(
+        args.format,
+        doc,
+        lines,
+        notes=notes if args.format == "csv" else (),
+        csv_column="method",
+        csv_sources=[(method_label, result)],
+    )
     return 0
 
 

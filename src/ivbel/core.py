@@ -169,7 +169,7 @@ class Frame:
             raise IvbelError(f"unknown label {label!r} for frame {list(self.labels)}") from None
 
     def _check_subset(self, a: FocalSet) -> None:
-        if a.bits & ~self.full_set.bits:
+        if a.bits >> len(self.labels):
             raise IvbelError(f"set {a.bits:#x} is not a subset of a {self.size}-element frame")
 
 
@@ -523,22 +523,25 @@ def from_bpa(b: Bpa) -> IntervalBeliefStructure:
 def bel(b: Bpa, a: FocalSet) -> float:
     """Total mass committed to subsets of ``a``."""
     b.frame._check_subset(a)
-    return math.fsum(mass for fs, mass in b.entries if fs.issubset(a))
+    bits = a.bits
+    return math.fsum(mass for fs, mass in b.entries if not fs.bits & ~bits)
 
 
 def pl(b: Bpa, a: FocalSet) -> float:
     """Total mass not excluded by ``a``: sum over focal sets meeting ``a``."""
     b.frame._check_subset(a)
-    return math.fsum(mass for fs, mass in b.entries if fs.bits & a.bits)
+    bits = a.bits
+    return math.fsum(mass for fs, mass in b.entries if fs.bits & bits)
 
 
 def _pignistic_sums(frame: Frame, values: Iterable[tuple[FocalSet, float]]) -> dict[int, float]:
     """Each value spread evenly over its set, summed per singleton bit (all kept)."""
     sums = {1 << i: 0.0 for i in range(frame.size)}
     for fs, value in values:
-        share = value / fs.cardinality
+        bits = fs.bits
+        share = value / bits.bit_count()
         for i in range(frame.size):
-            if i in fs:
+            if bits >> i & 1:
                 sums[1 << i] += share
     return sums
 

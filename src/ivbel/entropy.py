@@ -73,22 +73,26 @@ def _qin_weight(a: FocalSet, frame: Frame) -> float:
     return (a.cardinality / frame.size) * math.log2(a.cardinality)
 
 
+def _bit_entries(b: Bpa) -> list[tuple[int, int, float]]:
+    """``(bits, |A|, mass)`` per entry, so the pair loops below run on
+    integers instead of building a :class:`FocalSet` per pair."""
+    return [(fs.bits, fs.bits.bit_count(), m) for fs, m in b.entries]
+
+
 def _klir_ramer(b: Bpa) -> float:
+    sets = _bit_entries(b)
     total = 0.0
-    for a, ma in b.entries:
-        inner = math.fsum(
-            mb * (a & fb).cardinality / fb.cardinality for fb, mb in b.entries
-        )
+    for a, _, ma in sets:
+        inner = math.fsum(mb * (a & fb).bit_count() / cb for fb, cb, mb in sets)
         total -= ma * math.log2(inner)
     return total
 
 
 def _klir_parviz(b: Bpa) -> float:
+    sets = _bit_entries(b)
     total = 0.0
-    for a, ma in b.entries:
-        inner = math.fsum(
-            mb * (a & fb).cardinality / a.cardinality for fb, mb in b.entries
-        )
+    for a, ca, ma in sets:
+        inner = math.fsum(mb * (a & fb).bit_count() / ca for fb, _, mb in sets)
         total -= ma * math.log2(inner)
     return total
 
@@ -147,7 +151,8 @@ def entropy(m: str | EntropyMeasure, b: Bpa) -> float:
     m = measure(m)
     if m.separable:
         return entropy_from_profile(
-            (mass for _, mass in b.entries), separable_profile(m, b.focal_sets, b.frame)
+            (mass for _, mass in b.entries),
+            ((m.weight(fs, b.frame), m.beta) for fs, _ in b.entries),
         )
     return m.evaluate(b)
 
@@ -167,7 +172,7 @@ def separable_profile(
 
 
 def entropy_from_profile(
-    masses: Iterable[float], profile: Sequence[tuple[float, float]]
+    masses: Iterable[float], profile: Iterable[tuple[float, float]]
 ) -> float:
     """Evaluate ``sum_i m_i*k_i - beta_i*m_i*log2(m_i)`` on a raw mass vector.
 

@@ -21,12 +21,14 @@ from ivbel import (
     normalize,
 )
 from ivbel.core import MASS_SUM_TOL
-from ivbel.entropy import entropy_from_profile, separable_profile
+from ivbel.entropy import _xlog2, entropy_from_profile, separable_profile
 from ivbel.polytope import _DEDUPE_DECIMALS, MAX_VERTEX_DIM, MIN_TIE_TOL
 
 FRAME3 = Frame(("X", "Y", "Z"))
 FRAME_AB = Frame(("A", "B"))
 FRAME_ABC = Frame(("A", "B", "C"))
+# Frames of 1, 5 and 16 labels: the narrowest, a typical and the widest.
+KERNEL_FRAMES = tuple(Frame(tuple(f"E{i}" for i in range(n))) for n in (1, 5, 16))
 
 # Every non-empty subset of a 3-element frame, as label tuples.
 ALL_SUBSETS3 = (
@@ -48,6 +50,18 @@ def random_bpa(rng: random.Random, frame: Frame = FRAME3, max_sets: int = 4) -> 
     weights = [rng.expovariate(1.0) + 1e-12 for _ in chosen]
     total = sum(weights)
     return Bpa(frame, tuple((fs, w / total) for fs, w in zip(chosen, weights)))
+
+
+def random_wide_bpa(rng: random.Random, frame: Frame, max_sets: int = 31) -> Bpa:
+    """A BPA on 1..max_sets random non-empty subsets of ``frame``, any subset
+    allowed; the first always holds the frame's highest bit (bit 15 on a
+    16-label frame).  A repeated set merges, so the masses still sum to one."""
+    full = (1 << frame.size) - 1
+    chosen = rng.sample(range(1, full + 1), rng.randint(1, min(max_sets, full)))
+    chosen[0] |= 1 << (frame.size - 1)
+    weights = [rng.expovariate(1.0) + 1e-12 for _ in chosen]
+    total = sum(weights)
+    return Bpa(frame, tuple((FocalSet(bits), w / total) for bits, w in zip(chosen, weights)))
 
 
 def random_valid_ibs(
@@ -324,3 +338,55 @@ def grid_oracle(
     logs[mask] = points[mask] * np.log2(points[mask])
     values = points @ ks - logs @ betas
     return float(values.min()), float(values.max())
+
+
+# The FocalSet-level forms of the bit-pattern kernels in ``ivbel.core`` and
+# ``ivbel.entropy``, written with ``&``, ``cardinality``, ``issubset`` and
+# ``in``.  The kernels must equal them bit for bit: same operands, same order.
+
+
+def bel_oracle(b: Bpa, a: FocalSet) -> float:
+    return math.fsum(mass for fs, mass in b.entries if fs.issubset(a))
+
+
+def pl_oracle(b: Bpa, a: FocalSet) -> float:
+    return math.fsum(mass for fs, mass in b.entries if fs.bits & a.bits)
+
+
+def pignistic_oracle(b: Bpa) -> Bpa:
+    sums = {1 << i: 0.0 for i in range(b.frame.size)}
+    for fs, mass in b.entries:
+        share = mass / fs.cardinality
+        for i in range(b.frame.size):
+            if i in fs:
+                sums[1 << i] += share
+    return Bpa(b.frame, tuple((FocalSet(bit), p) for bit, p in sums.items()))
+
+
+def _klir_oracle(b: Bpa, ramer: bool) -> float:
+    total = 0.0
+    for a, ma in b.entries:
+        inner = math.fsum(
+            mb * (a & fb).cardinality / (fb if ramer else a).cardinality
+            for fb, mb in b.entries
+        )
+        total -= ma * math.log2(inner)
+    return total
+
+
+def _jirousek_shenoy_oracle(b: Bpa) -> float:
+    values = [(s, pl_oracle(b, s)) for s in b.frame.singletons()]
+    total = math.fsum(v for _, v in values)
+    prior = Bpa(b.frame, tuple((s, v / total) for s, v in values if v > 0.0))
+    shannon = -math.fsum(_xlog2(p) for _, p in prior.entries)
+    return shannon + math.fsum(m * math.log2(fs.cardinality) for fs, m in b.entries)
+
+
+# Non-separable measure id -> its oracle.
+MEASURE_ORACLES = {
+    "klir-ramer": lambda b: _klir_oracle(b, ramer=True),
+    "klir-parviz": lambda b: _klir_oracle(b, ramer=False),
+    "jirousek-shenoy": _jirousek_shenoy_oracle,
+    "yager": lambda b: -math.fsum(m * math.log2(pl_oracle(b, fs)) for fs, m in b.entries),
+    "hohle": lambda b: -math.fsum(m * math.log2(bel_oracle(b, fs)) for fs, m in b.entries),
+}

@@ -517,6 +517,16 @@ class TestCombine:
         assert lines[0] == "method,focal_set,lo,hi"
         assert all(line.startswith("wang,") for line in lines[1:])
 
+    def test_csv_sends_engine_notes_to_stderr(self, capsys):
+        note = "note: body 2: 4 vertices tie for the entropy minimum; kept the first in canonical order"
+        argv = ("combine", bundled("example5"), "--method", "proposed", "--measure", "nguyen")
+        rc, out, err = run(capsys, *argv, "--format", "csv")
+        assert rc == 0
+        assert out.startswith("method,focal_set,lo,hi\n") and "note:" not in out
+        assert err.splitlines() == [note]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and note in out.splitlines() and err == ""
+
     def test_three_body_fold(self, capsys, three_bodies):
         rc, out, _ = run(
             capsys, "combine", three_bodies, "--method", "proposed", "--format", "json"

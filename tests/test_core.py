@@ -37,7 +37,16 @@ from ivbel.core import (
     normalization_steps,
 )
 
-from helpers import FRAME3, random_bpa, random_valid_ibs
+from helpers import (
+    FRAME3,
+    KERNEL_FRAMES,
+    bel_oracle,
+    pignistic_oracle,
+    pl_oracle,
+    random_bpa,
+    random_valid_ibs,
+    random_wide_bpa,
+)
 
 FRAME = Frame(("A", "B", "C"))
 
@@ -148,6 +157,43 @@ class TestBpa:
         total = 1.0 + 0.5 + 0.2
         assert p.mass(FRAME.singleton("A")) == pytest.approx(1.0 / total)
         assert p.mass(FRAME.singleton("C")) == pytest.approx(0.2 / total)
+
+
+class TestBitKernels:
+    """bel, pl and pignistic equal their FocalSet-level forms exactly, and
+    the subset check refuses every set with a bit outside the frame."""
+
+    @pytest.mark.parametrize("frame", KERNEL_FRAMES, ids=lambda f: f"{f.size}-labels")
+    def test_bel_pl_pignistic_are_bit_identical(self, frame):
+        rng = random.Random(frame.size)
+        full = frame.full_set
+        for _ in range(30):
+            b = random_wide_bpa(rng, frame)
+            queries = [*b.focal_sets, EMPTY_SET, full, FocalSet(1 << (frame.size - 1))]
+            queries += [FocalSet(rng.randint(1, full.bits)) for _ in range(10)]
+            for a in queries:
+                assert bel(b, a) == bel_oracle(b, a)
+                assert pl(b, a) == pl_oracle(b, a)
+            assert pignistic(b) == pignistic_oracle(b)
+
+    @pytest.mark.parametrize("frame", KERNEL_FRAMES, ids=lambda f: f"{f.size}-labels")
+    def test_out_of_frame_set_refused(self, frame):
+        b = Bpa(frame, ((frame.full_set, 1.0),))
+        top = 1 << frame.size
+        for bad in (FocalSet(top), FocalSet(top | 1), FocalSet(top << 20 | top - 1)):
+            calls = (
+                lambda: Bpa(frame, ((bad, 1.0),)),
+                lambda: IntervalBeliefStructure(frame, ((bad, 0.0, 1.0),)),
+                lambda: bel(b, bad),
+                lambda: pl(b, bad),
+                lambda: frame.members(bad),
+            )
+            for call in calls:
+                with pytest.raises(IvbelError) as exc:
+                    call()
+                assert str(exc.value) == (
+                    f"set {bad.bits:#x} is not a subset of a {frame.size}-element frame"
+                )
 
 
 class TestIntervalStructure:

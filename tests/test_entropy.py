@@ -19,7 +19,7 @@ from ivbel import (
 )
 from ivbel.entropy import entropy_from_profile, separable_profile
 
-from helpers import random_bpa
+from helpers import KERNEL_FRAMES, MEASURE_ORACLES, random_bpa, random_wide_bpa
 
 FRAME = Frame(("A", "B", "C"))
 # Focal sets {A}, {A,B}, {A,B,C} with masses 0.5 / 0.3 / 0.2.
@@ -131,6 +131,23 @@ class TestStructuralIdentities:
             assert entropy_from_profile(masses, profile) == pytest.approx(
                 entropy(mid, b), abs=1e-12
             )
+
+
+class TestKernelsMatchOracles:
+    """Every measure equals its FocalSet-level form exactly (``==``), on
+    random BPAs of up to 31 focal sets over 1, 5 and 16 labels."""
+
+    @pytest.mark.parametrize("frame", KERNEL_FRAMES, ids=lambda f: f"{f.size}-labels")
+    def test_measures_are_bit_identical(self, frame):
+        rng = random.Random(frame.size)
+        for _ in range(30):
+            b = random_wide_bpa(rng, frame)
+            for mid, oracle in MEASURE_ORACLES.items():
+                assert entropy(mid, b) == oracle(b), mid
+            masses = tuple(m for _, m in b.entries)
+            for mid in SEPARABLE_MEASURE_IDS:
+                profile = separable_profile(mid, b.focal_sets, frame)
+                assert entropy(mid, b) == entropy_from_profile(masses, profile), mid
 
 
 class TestApi:
