@@ -167,7 +167,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     ev = load_evidence(args.file)
     requested = MEASURE_IDS if args.measure == "all" else (measure(args.measure).id,)
 
-    bodies = [(n, normalize(b) if args.normalize_inputs else b) for n, b in ev.bodies]
+    bodies = [(n, normalize(b)) for n, b in ev.bodies]
     rows = []
     notes = []
     for name, body in bodies:
@@ -244,18 +244,16 @@ def _run_engine(
         pignistic = zip(names, det.pignistic_bodies)
         return det.result, [f"pignistic {n}: {_interval_cells(b)}" for n, b in pignistic], []
 
-    if method == "dempster":
-        for name, body in zip(names, bodies):
-            if not body.is_degenerate():
-                raise IvbelError(
-                    f"method dempster needs point-valued evidence (lo = hi);"
-                    f" body {name!r} has interval bounds"
-                )
-        combined, diag = dempster_combine_n([degenerate_bpa(b) for b in bodies])
-        result = _mass_result(combined.frame, from_bpa(combined).entries)
-        return result, [f"cumulative conflict: K = {diag.conflict_mass:.4f}"], []
-
-    raise IvbelError(f"unknown method {method!r}")
+    # method == "dempster", the last of METHODS
+    for name, body in zip(names, bodies):
+        if not body.is_degenerate():
+            raise IvbelError(
+                f"method dempster needs point-valued evidence (lo = hi);"
+                f" body {name!r} has interval bounds"
+            )
+    combined, diag = dempster_combine_n([degenerate_bpa(b) for b in bodies])
+    result = _mass_result(combined.frame, from_bpa(combined).entries)
+    return result, [f"cumulative conflict: K = {diag.conflict_mass:.4f}"], []
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
@@ -276,11 +274,11 @@ def cmd_combine(args: argparse.Namespace) -> int:
     lines = [f"frame: {frame.format_set(frame.full_set)} ({len(bodies)} bodies)"]
     lines.extend(f"  {name}: {_interval_cells(body)}" for name, body in ev.bodies)
     lines.append(f"method: {method_label}")
-    if args.normalize_inputs and args.method == "leezhu":
+    if args.method == "leezhu":
         # This engine is defined on the structures as given; the bundled
         # reference rows only reproduce without prior normalization.
         lines.append("inputs passed through unchanged (engine convention)")
-    elif args.normalize_inputs:
+    else:
         for i, name in enumerate(names):
             bodies[i], steps = normalization_steps(bodies[i])
             lines.append(f"normalization {name}: {_describe_steps(steps)}")
@@ -393,12 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"measure id or 'all' (ids: {', '.join(MEASURE_IDS)})",
     )
-    p.add_argument(
-        "--normalize-inputs",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="normalize bodies before computing bounds",
-    )
     add_format(p, "table", "json")
     p.set_defaults(func=cmd_entropy)
 
@@ -413,12 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--w", type=float, default=None, help="norm order, >= 1 (leezhu only; default 2)"
-    )
-    p.add_argument(
-        "--normalize-inputs",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="normalize bodies before combining (leezhu always combines as given)",
     )
     add_format(p, "table", "json", "csv")
     p.set_defaults(func=cmd_combine)

@@ -104,6 +104,17 @@ class TestParser:
             main(["combine", bundled("example5"), "--method", "zadeh"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--normalize-inputs", "--no-normalize-inputs"])
+    @pytest.mark.parametrize(
+        "argv", [["entropy"], ["combine", "--method", "proposed"]], ids=["entropy", "combine"]
+    )
+    def test_normalization_is_not_an_option(self, capsys, argv, flag):
+        # entropy and combine always normalize, so the parser knows no switch.
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], bundled("example31"), *argv[1:], flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 def _format_choices() -> dict[str, tuple[str, ...]]:
     """Each subcommand's ``--format`` choices, as its parser lists them."""
@@ -405,6 +416,11 @@ class TestCombine:
         assert rc == 2
         assert "leezhu combines exactly two bodies" in err
 
+    def test_denoeux_needs_two_bodies(self, capsys, three_bodies):
+        rc, out, err = run(capsys, "combine", three_bodies, "--method", "denoeux")
+        assert (rc, out) == (2, "")
+        assert err == "error: denoeux combines exactly two bodies\n"
+
     def test_denoeux_reports_empty_mass(self, capsys):
         rc, out, _ = run(capsys, "combine", bundled("example5"), "--method", "denoeux")
         assert rc == 0
@@ -493,15 +509,6 @@ class TestCombine:
         assert rc == 2
         assert "needs point-valued evidence" in err and "'m1'" in err
 
-    def test_no_normalize_inputs_surfaces_engine_error(self, capsys):
-        # example31's bodies are valid but not tight, so the engine refuses.
-        rc, _, err = run(
-            capsys, "combine", bundled("example31"), "--method", "proposed",
-            "--no-normalize-inputs",
-        )
-        assert rc == 2
-        assert "body 1 is not normalized" in err
-
     def test_single_body_rejected(self, capsys, one_body):
         rc, _, err = run(capsys, "combine", one_body, "--method", "wang")
         assert rc == 2
@@ -546,6 +553,11 @@ class TestCompare:
         # Song yields singletons only, so the full-set row shows a dash there.
         full_row = next(l for l in out.splitlines() if l.startswith("{A1,A2,A3}"))
         assert "-" in full_row
+
+    def test_single_body_rejected(self, capsys, one_body):
+        rc, out, err = run(capsys, "compare", one_body)
+        assert (rc, out) == (2, "")
+        assert err == "error: no evidence: need at least two bodies to compare\n"
 
     def test_denoeux_column_omitted_for_three_bodies(self, capsys, three_bodies):
         rc, out, _ = run(capsys, "compare", three_bodies)
