@@ -29,7 +29,6 @@ from .core import (
     bel,
     degenerate_bpa,
     from_bpa,
-    is_bayesian,
     is_normalized,
     normalize,
     pignistic,
@@ -54,10 +53,8 @@ from .formats import (
 )
 from .fusion import (
     CombinationReport,
-    DempsterDiagnostics,
     dempster_combine,
     dempster_combine_n,
-    dempster_conflict,
     proposed_combine,
     proposed_combine_report,
 )
@@ -87,7 +84,6 @@ __all__ = [
     "EMPTY_SET",
     "Bpa",
     "CombinationReport",
-    "DempsterDiagnostics",
     "EntropyBoundsSolution",
     "EntropyMeasure",
     "EvidenceFile",
@@ -109,7 +105,6 @@ __all__ = [
     "degenerate_bpa",
     "dempster_combine",
     "dempster_combine_n",
-    "dempster_conflict",
     "denoeux_combine",
     "denoeux_normalize",
     "entropy",
@@ -119,7 +114,6 @@ __all__ = [
     "from_bpa",
     "ifs_combine",
     "interval_pignistic",
-    "is_bayesian",
     "is_normalized",
     "leezhu_combine",
     "load_evidence",

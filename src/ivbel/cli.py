@@ -216,24 +216,22 @@ def _run_engine(
 ) -> tuple[IntervalMassResult, list[str], list[str]]:
     """Run one engine on the bodies as given; returns (result, table-mode
     detail lines, notes)."""
+    if method in ("leezhu", "denoeux") and len(bodies) != 2:
+        raise IvbelError(f"{method} combines exactly two bodies")
     if method == "leezhu":
-        if len(bodies) != 2:
-            raise IvbelError("leezhu combines exactly two bodies")
         return leezhu_combine(bodies[0], bodies[1], w), [], []
 
     if method == "proposed":
         rep = proposed_combine_report(bodies, measure)
         details = [f"{label}: {_bpa_cells(bpa)}" for label, bpa in rep.intermediate_bpas]
-        for label, diag in zip(("fold.max", "fold.min"), rep.diagnostics):
-            details.append(f"conflict {label}: K = {diag.conflict_mass:.4f}")
+        for label, conflict in zip(("fold.max", "fold.min"), rep.conflicts):
+            details.append(f"conflict {label}: K = {conflict:.4f}")
         return rep.result, details, list(rep.notes)
 
     if method == "wang":
         return wang_combine(bodies), [], []
 
     if method == "denoeux":
-        if len(bodies) != 2:
-            raise IvbelError("denoeux combines exactly two bodies")
         raw = denoeux_combine(bodies[0], bodies[1])
         e_lo, e_hi = raw.includes_empty
         empty = f"mass on the empty set before renormalization: [{e_lo:.4f}, {e_hi:.4f}]"
@@ -251,9 +249,9 @@ def _run_engine(
                 f"method dempster needs point-valued evidence (lo = hi);"
                 f" body {name!r} has interval bounds"
             )
-    combined, diag = dempster_combine_n([degenerate_bpa(b) for b in bodies])
+    combined, conflict = dempster_combine_n([degenerate_bpa(b) for b in bodies])
     result = _mass_result(combined.frame, from_bpa(combined).entries)
-    return result, [f"cumulative conflict: K = {diag.conflict_mass:.4f}"], []
+    return result, [f"cumulative conflict: K = {conflict:.4f}"], []
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
@@ -316,9 +314,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for m in methods:
         label = _method_label(m, measure=args.measure)
         try:
-            columns.append((label, _run_engine(m, names, bodies, measure=args.measure)[0]))
+            result, _, engine_notes = _run_engine(m, names, bodies, measure=args.measure)
         except IvbelError as exc:
             notes.append(f"{label} column omitted: {exc}")
+            continue
+        columns.append((label, result))
+        notes.extend(f"{label}: {note}" for note in engine_notes)
     if not columns:
         return _fail("every engine failed: " + "; ".join(notes))
 

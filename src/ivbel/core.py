@@ -39,7 +39,6 @@ __all__ = [
     "pl",
     "pignistic",
     "plausibility_transform",
-    "is_bayesian",
 ]
 
 # Masses must sum to 1 within this tolerance.
@@ -559,11 +558,4 @@ def plausibility_transform(b: Bpa) -> Bpa:
     """Normalize singleton plausibilities into a Bayesian BPA."""
     values = [(s, pl(b, s)) for s in b.frame.singletons()]
     total = math.fsum(v for _, v in values)
-    if total <= 0.0:
-        raise IvbelError("plausibility transform undefined: all singletons implausible")
     return Bpa(b.frame, tuple((s, v / total) for s, v in values if v > 0.0))
-
-
-def is_bayesian(b: Bpa) -> bool:
-    """True when every focal set is a singleton."""
-    return all(fs.cardinality == 1 for fs, _ in b.entries)

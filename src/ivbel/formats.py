@@ -186,10 +186,7 @@ def parse_evidence(data: Any) -> EvidenceFile:
             "must be a non-empty list",
         )
         entries = _parse_intervals(frame, raw_masses, f"{where}.masses", {"mass", "lo", "hi"})
-        try:
-            bodies.append((name, IntervalBeliefStructure(frame, entries)))
-        except IvbelError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        bodies.append((name, IntervalBeliefStructure(frame, entries)))
     return EvidenceFile(frame, tuple(bodies))
 
 

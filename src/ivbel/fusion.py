@@ -29,9 +29,7 @@ from .entropy import EntropyMeasure, measure
 from .optimize import entropy_bounds
 
 __all__ = [
-    "DempsterDiagnostics",
     "CombinationReport",
-    "dempster_conflict",
     "dempster_combine",
     "dempster_combine_n",
     "proposed_combine",
@@ -39,22 +37,12 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class DempsterDiagnostics:
-    """Conflict between combined bodies: the mass K assigned to the empty
-    set before renormalization.  For folds of several bodies the reported
-    value is cumulative, ``1 - prod(1 - K_step)``."""
-
-    conflict_mass: float
-    combinable: bool
-
-
-@dataclass(frozen=True)
 class CombinationReport:
-    """A combination result together with its audit trail."""
+    """A combination result together with its audit trail; ``conflicts``
+    holds the cumulative conflict K of the max fold and of the min fold."""
 
-    method: str
     result: IntervalMassResult
-    diagnostics: tuple[DempsterDiagnostics, ...] = ()
+    conflicts: tuple[float, float]
     intermediate_bpas: tuple[tuple[str, Bpa], ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -90,25 +78,9 @@ def _surviving_mass(products: dict[int, float]) -> float:
     return 0.0 if _total_conflict(surviving, products.get(0, 0.0)) else surviving
 
 
-def _raw_products(b1: Bpa, b2: Bpa) -> tuple[dict[int, float], float, float]:
-    """Unnormalized intersection products, conflict mass, and the surviving
-    mass from :func:`_surviving_mass`."""
-    raw = _products(
-        [(fs.bits, m) for fs, m in b1.entries], [(fs.bits, m) for fs, m in b2.entries]
-    )
-    surviving = _surviving_mass(raw)
-    return raw, raw.pop(0, 0.0), surviving
-
-
-def dempster_conflict(b1: Bpa, b2: Bpa) -> DempsterDiagnostics:
-    """Conflict diagnostics without performing the combination."""
-    _check_same_frame((b1, b2))
-    _, conflict, surviving = _raw_products(b1, b2)
-    return DempsterDiagnostics(conflict, surviving > 0.0)
-
-
-def dempster_combine(b1: Bpa, b2: Bpa) -> tuple[Bpa, DempsterDiagnostics]:
-    """Dempster's rule for two BPAs on one frame; raises
+def dempster_combine(b1: Bpa, b2: Bpa) -> tuple[Bpa, float]:
+    """Dempster's rule for two BPAs on one frame: the combined BPA and the
+    conflict K, the mass the products assign to the empty set.  Raises
     :class:`TotalConflictError` on total conflict (:func:`_surviving_mass`).
 
     The products are divided by the exact surviving mass rather than by
@@ -116,18 +88,23 @@ def dempster_combine(b1: Bpa, b2: Bpa) -> tuple[Bpa, DempsterDiagnostics]:
     error that is large relative to ``1 - K``.
     """
     _check_same_frame((b1, b2))
-    raw, conflict, surviving = _raw_products(b1, b2)
+    raw = _products(
+        [(fs.bits, m) for fs, m in b1.entries], [(fs.bits, m) for fs, m in b2.entries]
+    )
+    surviving = _surviving_mass(raw)
+    conflict = raw.pop(0, 0.0)
     if not surviving:
         raise TotalConflictError(f"not combinable: total conflict (K={conflict:.12g})")
     scale = 1.0 / surviving
     combined = Bpa(
         b1.frame, tuple((FocalSet(bits), mass * scale) for bits, mass in raw.items())
     )
-    return combined, DempsterDiagnostics(conflict, True)
+    return combined, conflict
 
 
-def dempster_combine_n(bodies: Sequence[Bpa]) -> tuple[Bpa, DempsterDiagnostics]:
-    """Left fold of Dempster's rule over one or more BPAs.
+def dempster_combine_n(bodies: Sequence[Bpa]) -> tuple[Bpa, float]:
+    """Left fold of Dempster's rule over one or more BPAs: the combined BPA
+    and the cumulative conflict ``1 - prod(1 - K_step)``.
 
     The rule is associative and commutative, so the fold order does not
     affect the result.
@@ -138,9 +115,9 @@ def dempster_combine_n(bodies: Sequence[Bpa]) -> tuple[Bpa, DempsterDiagnostics]
     acc = bodies[0]
     surviving = 1.0
     for b in bodies[1:]:
-        acc, diag = dempster_combine(acc, b)
-        surviving *= 1.0 - diag.conflict_mass
-    return acc, DempsterDiagnostics(1.0 - surviving, True)
+        acc, conflict = dempster_combine(acc, b)
+        surviving *= 1.0 - conflict
+    return acc, 1.0 - surviving
 
 
 def proposed_combine(
@@ -176,8 +153,8 @@ def proposed_combine_report(
                 "minimum; kept the first in canonical order"
             )
 
-    folded_max, diag_max = dempster_combine_n(maxes)
-    folded_min, diag_min = dempster_combine_n(mins)
+    folded_max, k_max = dempster_combine_n(maxes)
+    folded_min, k_min = dempster_combine_n(mins)
     intermediates.append(("fold.max", folded_max))
     intermediates.append(("fold.min", folded_min))
 
@@ -196,9 +173,8 @@ def proposed_combine_report(
         entries.append((fs, min(v1, v2), max(v1, v2)))
 
     return CombinationReport(
-        method=f"proposed[{meas.id}]",
         result=_mass_result(frame, entries),
-        diagnostics=(diag_max, diag_min),
+        conflicts=(k_max, k_min),
         intermediate_bpas=tuple(intermediates),
         notes=tuple(notes),
     )

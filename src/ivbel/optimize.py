@@ -47,7 +47,6 @@ class EntropyBoundsSolution:
     The rule reads only the least value, not the visiting order.
     """
 
-    measure_id: str
     m_max: Bpa
     m_min: Bpa
     h_max: float
@@ -144,7 +143,6 @@ def entropy_bounds(
     if h_min > h_max + _INVERSION_TOL:
         raise AssertionError(f"entropy bounds inverted: {h_min} > {h_max}")
     return EntropyBoundsSolution(
-        measure_id=meas.id,
         m_max=Bpa(ibs.frame, tuple(zip(ibs.focal_sets, max_vec))),
         m_min=Bpa(ibs.frame, tuple(zip(ibs.focal_sets, min_vec))),
         h_max=h_max,

@@ -430,7 +430,7 @@ def reproduce_example33() -> TargetReport:
 
     normalized = [normalize(b) for b in bodies]
     bpas = [Bpa(b.frame, tuple((fs, lo) for fs, lo, _ in b.entries)) for b in normalized]
-    demp, diag = dempster_combine(bpas[0], bpas[1])
+    demp, conflict = dempster_combine(bpas[0], bpas[1])
     demp_map = {frame.format_set(fs): m for fs, m in demp}
 
     cells: list[CellCheck] = []
@@ -457,7 +457,7 @@ def reproduce_example33() -> TargetReport:
             det.result.as_ibs().is_degenerate(),
         ),
     )
-    notes = (f"conflict mass K = {diag.conflict_mass:.4f} for the plain rule",)
+    notes = (f"conflict mass K = {conflict:.4f} for the plain rule",)
     return TargetReport("example33", tuple(cells), assertions, notes)
 
 

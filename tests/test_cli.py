@@ -21,6 +21,7 @@ from ivbel import (
     result_from_json,
 )
 from ivbel.cli import build_parser, main
+from ivbel.reproduce import reproduce
 
 from helpers import FRAME_AB, near_conflict_pair
 
@@ -602,6 +603,22 @@ class TestCompare:
         assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"denoeux", "wang", "song"}
         assert f"note: {note}" in err
 
+    @pytest.mark.parametrize("name", ["example5", "example6"])
+    def test_engine_notes_in_every_format(self, capsys, name):
+        note = (
+            "proposed[nguyen]: body 2: 4 vertices tie for the entropy minimum;"
+            " kept the first in canonical order"
+        )
+        argv = ("compare", bundled(name), "--measure", "nguyen")
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-2:] == [f"note: {note}", cli._TOLERANCE_FOOTER]
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert rc == 0 and err == "" and json.loads(out)["notes"] == [note]
+        rc, out, err = run(capsys, *argv, "--format", "csv")
+        assert rc == 0 and "note" not in out
+        assert err.splitlines() == [f"note: {note}"]
+
     def test_every_engine_failing_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "conflict.json"
         path.write_text(json.dumps({
@@ -669,3 +686,7 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "table9"])
         assert exc.value.code == 2
+
+    def test_unknown_target_rejected_by_library(self):
+        with pytest.raises(ValueError, match="unknown reproduce target 'nope'"):
+            reproduce("nope")

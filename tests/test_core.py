@@ -17,12 +17,12 @@ from ivbel import (
     FocalSet,
     Frame,
     IntervalBeliefStructure,
+    IntervalMassResult,
     IvbelError,
     NormalizationError,
     bel,
     degenerate_bpa,
     from_bpa,
-    is_bayesian,
     is_normalized,
     normalize,
     pignistic,
@@ -102,6 +102,14 @@ class TestFrame:
             Frame(tuple(f"E{i}" for i in range(17)))
         assert Frame(tuple(f"E{i}" for i in range(16))).size == 16
 
+    def test_labels_from_a_list(self):
+        frame = Frame(["A", "B"])
+        assert frame.labels == ("A", "B") and frame == Frame(("A", "B"))
+
+    def test_empty_label_rejected(self):
+        with pytest.raises(IvbelError, match="non-empty strings, got ''"):
+            Frame(("A", ""))
+
     def test_foreign_set_rejected(self):
         small = Frame(("A",))
         with pytest.raises(IvbelError, match="not a subset"):
@@ -135,6 +143,14 @@ class TestBpa:
         b = Bpa.from_mapping(FRAME, {("A",): 1.0, ("B",): 1e-13})
         assert len(b.entries) == 1
 
+    def test_all_zero_masses_rejected(self):
+        with pytest.raises(IvbelError, match="at least one focal set with positive mass"):
+            Bpa.from_mapping(FRAME, {("A",): 0.0, ("B",): 0.0})
+
+    def test_from_mapping_key_forms(self):
+        b = Bpa.from_mapping(FRAME, {FocalSet(0b110): 0.4, "A": 0.6})
+        assert b.entries == ((FocalSet(0b001), 0.6), (FocalSet(0b110), 0.4))
+
     def test_bel_pl_duality(self):
         b = Bpa.from_mapping(FRAME, {("A",): 0.5, ("A", "B"): 0.3, ("A", "B", "C"): 0.2})
         for labels in (("A",), ("B",), ("A", "C")):
@@ -146,7 +162,7 @@ class TestBpa:
     def test_pignistic(self):
         b = Bpa.from_mapping(FRAME, {("A",): 0.5, ("A", "B"): 0.3, ("A", "B", "C"): 0.2})
         p = pignistic(b)
-        assert is_bayesian(p)
+        assert all(fs.cardinality == 1 for fs in p.focal_sets)
         assert p.mass(FRAME.singleton("A")) == pytest.approx(0.5 + 0.15 + 0.2 / 3)
         assert p.mass(FRAME.singleton("B")) == pytest.approx(0.15 + 0.2 / 3)
         assert p.mass(FRAME.singleton("C")) == pytest.approx(0.2 / 3)
@@ -219,6 +235,15 @@ class TestIntervalStructure:
     def test_empty_focal_set_rejected(self):
         with pytest.raises(IvbelError, match="empty set"):
             IntervalBeliefStructure(FRAME, ((EMPTY_SET, 0.1, 0.2),))
+
+    def test_no_entries_rejected(self):
+        with pytest.raises(IvbelError, match="at least one focal set"):
+            IntervalBeliefStructure(FRAME, ())
+
+    @pytest.mark.parametrize("bounds", [(-0.1, 0.2), (0.5, 0.2), (0.2, 1.5)])
+    def test_result_empty_interval_out_of_range(self, bounds):
+        with pytest.raises(IvbelError, match="empty-set interval .* out of range"):
+            IntervalMassResult(FRAME, ((FRAME.full_set, 0.2, 0.7),), includes_empty=bounds)
 
     def test_degenerate_round_trip(self):
         b = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})

@@ -15,7 +15,6 @@ from ivbel import (
     TotalConflictError,
     dempster_combine,
     dempster_combine_n,
-    dempster_conflict,
     normalize,
     proposed_combine,
     proposed_combine_report,
@@ -36,9 +35,9 @@ class TestDempster:
     def test_hand_worked_pair(self):
         b1 = bpa({("A",): 0.6, ("A", "B"): 0.4})
         b2 = bpa({("B",): 0.5, ("A", "B", "C"): 0.5})
-        combined, diag = dempster_combine(b1, b2)
+        combined, conflict = dempster_combine(b1, b2)
         # Conflict: only A x B (0.6 * 0.5).
-        assert diag.conflict_mass == pytest.approx(0.3, abs=1e-12)
+        assert conflict == pytest.approx(0.3, abs=1e-12)
         assert combined.mass(FRAME.singleton("A")) == pytest.approx(0.3 / 0.7)
         assert combined.mass(FRAME.singleton("B")) == pytest.approx(0.2 / 0.7)
         assert combined.mass(FRAME.subset(("A", "B"))) == pytest.approx(0.2 / 0.7)
@@ -49,7 +48,6 @@ class TestDempster:
         # MASS_SUM_TOL, and no mass survives on a non-empty set.
         for b_mass in (1.0, 1.0 - 5e-10):
             b2 = bpa({("B",): b_mass})
-            assert not dempster_conflict(b1, b2).combinable
             with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
                 dempster_combine(b1, b2)
 
@@ -73,8 +71,10 @@ class TestDempster:
         # surviving, which the K test rejects.
         b1 = bpa({("A",): 1.0 - x, ("C",): x})
         b2 = bpa({("B",): 1.0 - y + excess, ("C",): y})
-        assert dempster_conflict(b1, b2).combinable is combinable
-        if not combinable:
+        if combinable:
+            combined, _ = dempster_combine(b1, b2)
+            assert combined.mass(FRAME.singleton("C")) == pytest.approx(1.0, abs=1e-15)
+        else:
             with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
                 dempster_combine(b1, b2)
 
@@ -87,16 +87,15 @@ class TestDempster:
             x, y = rng.uniform(1e-6, 2e-6), rng.uniform(1e-6, 2e-6)
             b1 = bpa({("A",): 1.0 - x, ("C",): x})
             b2 = bpa({("B",): 1.0 - y, ("C",): y})
-            combined, diag = dempster_combine(b1, b2)
-            assert diag.combinable
+            combined, _ = dempster_combine(b1, b2)
             assert combined.mass(FRAME.singleton("C")) == pytest.approx(1.0, abs=1e-15)
 
     def test_vacuous_is_neutral(self):
         b = bpa({("A",): 0.6, ("B", "C"): 0.4})
         vacuous = bpa({("A", "B", "C"): 1.0})
-        combined, diag = dempster_combine(b, vacuous)
+        combined, conflict = dempster_combine(b, vacuous)
         assert combined.entries == b.entries
-        assert diag.conflict_mass == 0.0
+        assert conflict == 0.0
 
     def test_frames_must_match(self):
         other = Bpa.from_mapping(FRAME3, {("X",): 1.0})
@@ -109,19 +108,19 @@ class TestDempster:
 
     def test_fold_single_body_is_identity(self):
         b = bpa({("A",): 0.6, ("B", "C"): 0.4})
-        folded, diag = dempster_combine_n((b,))
+        folded, conflict = dempster_combine_n((b,))
         assert folded.entries == b.entries
-        assert diag.conflict_mass == 0.0
+        assert conflict == 0.0
 
     def test_fold_cumulative_conflict(self):
         b1 = bpa({("A",): 0.6, ("A", "B"): 0.4})
         b2 = bpa({("B",): 0.5, ("A", "B", "C"): 0.5})
-        _, d12 = dempster_combine(b1, b2)
+        _, k12 = dempster_combine(b1, b2)
         step1, _ = dempster_combine(b1, b2)
-        _, d3 = dempster_combine(step1, b1)
-        _, total = dempster_combine_n((b1, b2, b1))
-        expected = 1.0 - (1.0 - d12.conflict_mass) * (1.0 - d3.conflict_mass)
-        assert total.conflict_mass == pytest.approx(expected, abs=1e-12)
+        _, k3 = dempster_combine(step1, b1)
+        _, k_total = dempster_combine_n((b1, b2, b1))
+        expected = 1.0 - (1.0 - k12) * (1.0 - k3)
+        assert k_total == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -129,11 +128,11 @@ class TestDempster:
         rng = random.Random(seed)
         b1, b2 = random_bpa(rng), random_bpa(rng)
         try:
-            left, dl = dempster_combine(b1, b2)
-            right, dr = dempster_combine(b2, b1)
+            left, kl = dempster_combine(b1, b2)
+            right, kr = dempster_combine(b2, b1)
         except TotalConflictError:
             return
-        assert dl.conflict_mass == pytest.approx(dr.conflict_mass, abs=1e-12)
+        assert kl == pytest.approx(kr, abs=1e-12)
         for fs, m in left.entries:
             assert right.mass(fs) == pytest.approx(m, abs=1e-10)
 
@@ -183,11 +182,8 @@ class TestProposedCombine:
             "fold.max",
             "fold.min",
         ]
-        assert rep.method == "proposed[pal]"
-        assert len(rep.diagnostics) == 2
         # Every focal set here contains A1, so neither fold sees conflict.
-        assert rep.diagnostics[0].conflict_mass == pytest.approx(0.0, abs=1e-12)
-        assert rep.diagnostics[1].conflict_mass == pytest.approx(0.0, abs=1e-12)
+        assert rep.conflicts == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_rejects_single_body(self):
         ev = load_bundled("example4")

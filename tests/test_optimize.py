@@ -155,7 +155,6 @@ class TestBounds:
             {("X",): (0.2, 0.5), ("Y",): (0.2, 0.5), ("X", "Y", "Z"): (0.1, 0.5)}
         )
         sol = entropy_bounds(ibs, "deng")
-        assert sol.measure_id == "deng"
         assert sol.h_min <= sol.h_max
         assert sol.h_max == pytest.approx(entropy("deng", sol.m_max), abs=1e-12)
         assert sol.h_min == pytest.approx(entropy("deng", sol.m_min), abs=1e-12)
