@@ -184,10 +184,13 @@ def _coerce_set(frame: Frame, key: FocalSet | str | Iterable[str]) -> FocalSet:
 def _canonical_mass_entries(
     entries: Iterable[tuple[FocalSet, float]],
 ) -> tuple[tuple[FocalSet, float], ...]:
-    """Sort by bit value, merge duplicates, drop masses below the zero epsilon."""
+    """Sort by bit value, merge duplicates (keeping the first one's
+    :class:`FocalSet`), drop masses below the zero epsilon."""
     merged: dict[int, float] = {}
+    sets: dict[int, FocalSet] = {}
     for fs, mass in entries:
         merged[fs.bits] = merged.get(fs.bits, 0.0) + float(mass)
+        sets.setdefault(fs.bits, fs)
     out = []
     for bits in sorted(merged):
         mass = merged[bits]
@@ -195,7 +198,7 @@ def _canonical_mass_entries(
             raise IvbelError(f"negative mass {mass} for focal set {bits:#x}")
         if mass <= MASS_DROP_EPS:
             continue
-        out.append((FocalSet(bits), mass))
+        out.append((sets[bits], mass))
     # Sorted by bits, so a kept empty set comes first.
     if out and out[0][0].is_empty:
         raise IvbelError("BPA cannot assign mass to the empty set")
@@ -240,7 +243,7 @@ class _Entries:
     def _lookup(self) -> dict[int, tuple]:
         return {entry[0].bits: entry[1:] for entry in self.entries}
 
-    @property
+    @cached_property
     def focal_sets(self) -> tuple[FocalSet, ...]:
         return tuple(entry[0] for entry in self.entries)
 
@@ -313,11 +316,11 @@ class IntervalBeliefStructure(_IntervalEntries):
             tuple((_coerce_set(frame, key), lo, hi) for key, (lo, hi) in bounds.items()),
         )
 
-    @property
+    @cached_property
     def lower_bounds(self) -> tuple[float, ...]:
         return tuple(lo for _, lo, _ in self.entries)
 
-    @property
+    @cached_property
     def upper_bounds(self) -> tuple[float, ...]:
         return tuple(hi for _, _, hi in self.entries)
 

@@ -3,7 +3,8 @@
 Ten measures are provided, identified by short string ids.  Five of them are
 *separable*: they can be written as ``sum_A m(A) * (k_A - beta*log2 m(A))``
 where the weight ``k_A`` depends only on the focal set (and the frame) and
-``beta`` is 0 or 1.  Separable measures admit exact bound optimization over
+``beta`` is 0 or 1; a custom separable measure may take any finite
+``beta >= 0``.  Separable measures admit exact bound optimization over
 interval-valued structures; the others can only be evaluated pointwise.
 """
 
@@ -36,8 +37,9 @@ class EntropyMeasure:
     """A named uncertainty measure.
 
     A separable measure has a ``weight(a, frame)`` giving ``k_A``, and
-    ``beta`` the coefficient of the ``-m log2 m`` term.  Non-separable
-    measures carry a direct evaluator instead.
+    ``beta`` the coefficient of the ``-m log2 m`` term, finite and
+    ``>= 0`` so that the measure is concave.  Non-separable measures carry
+    a direct evaluator instead.
     """
 
     id: str
@@ -48,6 +50,8 @@ class EntropyMeasure:
     def __post_init__(self) -> None:
         if self.weight is None and self.evaluate is None:
             raise IvbelError(f"measure {self.id!r} needs a weight or an evaluator")
+        if self.weight is not None and not 0.0 <= self.beta < math.inf:
+            raise IvbelError(f"measure {self.id!r} needs a finite beta >= 0, got {self.beta}")
 
     @property
     def separable(self) -> bool:

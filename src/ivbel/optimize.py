@@ -3,12 +3,13 @@
 For a separable measure ``H(m) = sum_A m(A)*(k_A - beta*log2 m(A))`` the
 bounds over the feasible polytope are computed exactly:
 
-* ``beta = 1``: H is strictly concave, so the maximum is interior and found
+* ``beta > 0``: H is strictly concave, so the maximum is interior and found
   by water-filling (each mass is ``clamp(w_A * c, lo_A, hi_A)`` with
-  ``w_A = 2**k_A`` and a common level ``c`` solved exactly on the linear
-  segment between breakpoints where the clamped sum reaches one), while the
-  minimum is attained at a vertex and found by a bounded vertex search
-  (:func:`~ivbel.polytope.enumerate_vertices` with the measure's profile).
+  ``w_A = 2**(k_A/beta)`` and a common level ``c`` solved exactly on the
+  linear segment between breakpoints where the clamped sum reaches one),
+  while the minimum is attained at a vertex and found by a bounded vertex
+  search (:func:`~ivbel.polytope.enumerate_vertices` with the measure's
+  profile).  The built-in measures have ``beta = 1``.
 * ``beta = 0``: H is linear; both extrema are reached by greedily assigning
   the residual mass above the lower bounds in weight order, splitting the
   residual equally within groups of equal weight.
@@ -17,8 +18,9 @@ bounds over the feasible polytope are computed exactly:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 
 from .core import MASS_SUM_TOL, Bpa, IntervalBeliefStructure, IvbelError, is_normalized
 from .entropy import EntropyMeasure, entropy_from_profile, measure, separable_profile
@@ -65,20 +67,43 @@ def water_fill(
     ``c`` is solved exactly on the segment that ends at the first breakpoint
     where the sum reaches one.
     """
-    if math.fsum(lower) > 1.0 + MASS_SUM_TOL or math.fsum(upper) < 1.0 - MASS_SUM_TOL:
+    sum_lo = math.fsum(lower)
+    if sum_lo > 1.0 + MASS_SUM_TOL or math.fsum(upper) < 1.0 - MASS_SUM_TOL:
         raise IvbelError("water filling requires sum(lo) <= 1 <= sum(hi)")
 
     def clamped(c: float) -> list[float]:
         return [min(max(w * c, lo), hi) for lo, hi, w in zip(lower, upper, weights)]
 
-    points = sorted({x / w for lo, hi, w in zip(lower, upper, weights) for x in (lo, hi)})
-    k = bisect_left(points, True, key=lambda c: math.fsum(clamped(c)) >= 1.0)
+    # Past lo/w an entry is free and past hi/w clamped, so one sweep over the
+    # stably sorted breakpoints (each point the first of its equal values, as
+    # a set keeps) tracks the sum as base + slope * c to estimate the crossing.
+    bounds = zip(lower, upper, weights)
+    events = [e for lo, hi, w in bounds for e in ((lo / w, -lo, w), (hi / w, hi, -w))]
+    events.sort(key=itemgetter(0))
+    points: list[float] = []
+    k, base, slope = -1, sum_lo, 0.0
+    for p, d_base, d_slope in events:
+        if not points or p != points[-1]:
+            if k < 0 and points and base + slope * points[-1] >= 1.0:
+                k = len(points) - 1
+            points.append(p)
+        base += d_base
+        slope += d_slope
+    if k < 0:
+        k = len(points) - (base + slope * points[-1] >= 1.0)
+    # The estimate rounds differently from math.fsum, so step it to the first
+    # point whose exact clamped sum reaches one; the test is monotone in c.
+    total = cache(lambda i: math.fsum(clamped(points[i])))
+    while k < len(points) and total(k) < 1.0:
+        k += 1
+    while k > 0 and total(k - 1) >= 1.0:
+        k -= 1
     if k == 0 or k == len(points):
         c = points[min(k, len(points) - 1)]
     else:
         # The sum is linear between the two breakpoints around the crossing.
         a, b = points[k - 1], points[k]
-        sa, sb = math.fsum(clamped(a)), math.fsum(clamped(b))
+        sa, sb = total(k - 1), total(k)
         c = a + (b - a) * (1.0 - sa) / (sb - sa)
     return tuple(clamped(c)), c
 
@@ -103,7 +128,7 @@ def _max_vec(
     keys = tuple(k for k, _ in profile)
     if meas.beta == 0.0:
         return _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=True)
-    weights = tuple(2.0 ** k for k in keys)
+    weights = tuple(2.0 ** (k / meas.beta) for k in keys)
     return water_fill(ibs.lower_bounds, ibs.upper_bounds, weights)[0]
 
 

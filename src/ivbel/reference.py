@@ -56,23 +56,6 @@ __all__ = [
 # Lee-Zhu
 
 
-def _pnorm2(x: float, y: float, w: float) -> float:
-    """``(x**w + y**w)**(1/w)`` for x, y in [0, 1], stable for large w."""
-    hi, lo = (x, y) if x >= y else (y, x)
-    if hi <= 0.0:
-        return 0.0
-    ratio = lo / hi
-    return hi * math.exp(math.log1p(ratio**w) / w)
-
-
-def _lz_union(x: float, y: float, w: float) -> float:
-    return min(1.0, _pnorm2(x, y, w))
-
-
-def _lz_intersection(x: float, y: float, w: float) -> float:
-    return 1.0 - min(1.0, _pnorm2(1.0 - x, 1.0 - y, w))
-
-
 def leezhu_combine(
     ibs1: IntervalBeliefStructure,
     ibs2: IntervalBeliefStructure,
@@ -90,17 +73,32 @@ def leezhu_combine(
     if not w >= 1.0:
         raise IvbelError(f"Lee-Zhu order must satisfy w >= 1, got {w}")
     _check_bodies((ibs1, ibs2), normalized=False)
+    # The t-conorm is min(1, (x**w + y**w)**(1/w)), evaluated in the stable
+    # form hi*exp(log1p((lo/hi)**w)/w); the t-norm is 1 - conorm(1-x, 1-y).
+    exp, log1p = math.exp, math.log1p
+    rows2 = [(f.bits, 1.0 - lo, 1.0 - hi) for f, lo, hi in ibs2.entries]
     lows: dict[int, float] = {}
     highs: dict[int, float] = {}
     for f1, lo1, hi1 in ibs1.entries:
-        for f2, lo2, hi2 in ibs2.entries:
-            inter = f1.bits & f2.bits
+        bits1, x_lo, x_hi = f1.bits, 1.0 - lo1, 1.0 - hi1
+        for bits2, y_lo, y_hi in rows2:
+            inter = bits1 & bits2
             if inter == 0:
                 continue
-            c_lo = _lz_intersection(lo1, lo2, w)
-            c_hi = _lz_intersection(hi1, hi2, w)
-            lows[inter] = _lz_union(lows.get(inter, 0.0), c_lo, w)
-            highs[inter] = _lz_union(highs.get(inter, 0.0), c_hi, w)
+            a, b = (x_lo, y_lo) if x_lo >= y_lo else (y_lo, x_lo)
+            v = a * exp(log1p((b / a) ** w) / w) if a > 0.0 else 0.0
+            c_lo = 1.0 - (v if v < 1.0 else 1.0)
+            a, b = (x_hi, y_hi) if x_hi >= y_hi else (y_hi, x_hi)
+            v = a * exp(log1p((b / a) ** w) / w) if a > 0.0 else 0.0
+            c_hi = 1.0 - (v if v < 1.0 else 1.0)
+            a = lows.get(inter, 0.0)
+            a, b = (a, c_lo) if a >= c_lo else (c_lo, a)
+            v = a * exp(log1p((b / a) ** w) / w) if a > 0.0 else 0.0
+            lows[inter] = v if v < 1.0 else 1.0
+            a = highs.get(inter, 0.0)
+            a, b = (a, c_hi) if a >= c_hi else (c_hi, a)
+            v = a * exp(log1p((b / a) ** w) / w) if a > 0.0 else 0.0
+            highs[inter] = v if v < 1.0 else 1.0
     if not lows:
         raise TotalConflictError("not combinable: every focal-set pair conflicts")
     return _mass_result(

@@ -1,11 +1,13 @@
-"""Seeded random generators and the brute-force vertex and lattice entropy
-oracles shared by the unit and acceptance suites."""
+"""Seeded random generators, the brute-force vertex and lattice entropy
+oracles, and earlier forms of rewritten kernels, shared by the unit and
+acceptance suites."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from bisect import bisect_left
 
 import numpy as np
 
@@ -15,12 +17,14 @@ from ivbel import (
     FocalSet,
     Frame,
     IntervalBeliefStructure,
+    IntervalMassResult,
     IvbelError,
+    TotalConflictError,
     enumerate_vertices,
     measure,
     normalize,
 )
-from ivbel.core import MASS_SUM_TOL
+from ivbel.core import MASS_SUM_TOL, _check_bodies, _mass_result
 from ivbel.entropy import _xlog2, entropy_from_profile, separable_profile
 from ivbel.polytope import _DEDUPE_DECIMALS, MAX_VERTEX_DIM, MIN_TIE_TOL
 
@@ -390,3 +394,77 @@ MEASURE_ORACLES = {
     "yager": lambda b: -math.fsum(m * math.log2(pl_oracle(b, fs)) for fs, m in b.entries),
     "hohle": lambda b: -math.fsum(m * math.log2(bel_oracle(b, fs)) for fs, m in b.entries),
 }
+
+
+# Earlier forms of two rewritten kernels, kept verbatim: the water-fill that
+# bisects over the breakpoints with an ``fsum`` per probe, and the Lee-Zhu
+# rule that calls a p-norm helper per bound.  The kernels in ``ivbel`` must
+# equal them bit for bit.
+
+
+def water_fill_oracle(
+    lower: tuple[float, ...], upper: tuple[float, ...], weights: tuple[float, ...]
+) -> tuple[tuple[float, ...], float]:
+    if math.fsum(lower) > 1.0 + MASS_SUM_TOL or math.fsum(upper) < 1.0 - MASS_SUM_TOL:
+        raise IvbelError("water filling requires sum(lo) <= 1 <= sum(hi)")
+
+    def clamped(c: float) -> list[float]:
+        return [min(max(w * c, lo), hi) for lo, hi, w in zip(lower, upper, weights)]
+
+    points = sorted({x / w for lo, hi, w in zip(lower, upper, weights) for x in (lo, hi)})
+    k = bisect_left(points, True, key=lambda c: math.fsum(clamped(c)) >= 1.0)
+    if k == 0 or k == len(points):
+        c = points[min(k, len(points) - 1)]
+    else:
+        # The sum is linear between the two breakpoints around the crossing.
+        a, b = points[k - 1], points[k]
+        sa, sb = math.fsum(clamped(a)), math.fsum(clamped(b))
+        c = a + (b - a) * (1.0 - sa) / (sb - sa)
+    return tuple(clamped(c)), c
+
+
+def _pnorm2(x: float, y: float, w: float) -> float:
+    """``(x**w + y**w)**(1/w)`` for x, y in [0, 1], stable for large w."""
+    hi, lo = (x, y) if x >= y else (y, x)
+    if hi <= 0.0:
+        return 0.0
+    ratio = lo / hi
+    return hi * math.exp(math.log1p(ratio**w) / w)
+
+
+def _lz_union(x: float, y: float, w: float) -> float:
+    return min(1.0, _pnorm2(x, y, w))
+
+
+def _lz_intersection(x: float, y: float, w: float) -> float:
+    return 1.0 - min(1.0, _pnorm2(1.0 - x, 1.0 - y, w))
+
+
+def leezhu_oracle(
+    ibs1: IntervalBeliefStructure,
+    ibs2: IntervalBeliefStructure,
+    w: float = 2.0,
+) -> IntervalMassResult:
+    if not w >= 1.0:
+        raise IvbelError(f"Lee-Zhu order must satisfy w >= 1, got {w}")
+    _check_bodies((ibs1, ibs2), normalized=False)
+    lows: dict[int, float] = {}
+    highs: dict[int, float] = {}
+    for f1, lo1, hi1 in ibs1.entries:
+        for f2, lo2, hi2 in ibs2.entries:
+            inter = f1.bits & f2.bits
+            if inter == 0:
+                continue
+            c_lo = _lz_intersection(lo1, lo2, w)
+            c_hi = _lz_intersection(hi1, hi2, w)
+            lows[inter] = _lz_union(lows.get(inter, 0.0), c_lo, w)
+            highs[inter] = _lz_union(highs.get(inter, 0.0), c_hi, w)
+    if not lows:
+        raise TotalConflictError("not combinable: every focal-set pair conflicts")
+    return _mass_result(
+        ibs1.frame,
+        (
+            (FocalSet(bits), min(lows[bits], highs[bits]), highs[bits])
+            for bits in sorted(lows)
+        ),
+    )

@@ -126,6 +126,17 @@ class TestBpa:
     def test_duplicates_merge(self):
         b = Bpa(FRAME, ((FocalSet(0b1), 0.25), (FocalSet(0b1), 0.25), (FocalSet(0b110), 0.5)))
         assert b.mass(FocalSet(0b1)) == 0.5
+        # Duplicates add from 0.0 in input order, under the first one's set.
+        sets = (FocalSet(0b1), FocalSet(0b1), FocalSet(0b1), FocalSet(0b110))
+        b = Bpa(FRAME, tuple(zip(sets, (0.1, 0.2, 0.3, 0.4))))
+        assert b.entries[0][0] is sets[0]
+        assert b.mass(sets[0]) == 0.0 + 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+
+    def test_keeps_the_callers_focal_sets(self):
+        sets = (FocalSet(0b110), FocalSet(0b1), FocalSet(0b10))
+        b = Bpa(FRAME, tuple(zip(sets, (0.5, 0.3, 0.2))))
+        assert [fs.bits for fs in b.focal_sets] == [0b1, 0b10, 0b110]
+        assert all(kept is given for kept, given in zip(b.focal_sets, sets[1:] + sets[:1]))
 
     def test_sum_enforced(self):
         with pytest.raises(IvbelError, match="sum to 1"):
@@ -221,6 +232,23 @@ class TestIntervalStructure:
         assert ibs.interval(FRAME.singleton("B")) == (0.0, 0.0)
         assert ibs.lower_bounds == (0.2, 0.3)
         assert ibs.upper_bounds == (0.5, 0.8)
+
+    def test_derived_tuples_leave_identity_alone(self):
+        # focal_sets, lower_bounds and upper_bounds are cached on first read;
+        # equality, hashing and repr still read the fields only.
+        entries = ((FRAME.singleton("A"), 0.2, 0.5), (FRAME.subset(("B", "C")), 0.3, 0.8))
+        read, fresh = IntervalBeliefStructure(FRAME, entries), IntervalBeliefStructure(FRAME, entries)
+        assert (read.focal_sets, read.lower_bounds, read.upper_bounds) == (
+            (FRAME.singleton("A"), FRAME.subset(("B", "C"))),
+            (0.2, 0.3),
+            (0.5, 0.8),
+        )
+        assert read.lower_bounds is read.lower_bounds and read.focal_sets is read.focal_sets
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        bpa = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})
+        assert bpa.focal_sets == (FRAME.singleton("A"), FRAME.subset(("B", "C")))
+        fresh_bpa = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})
+        assert bpa == fresh_bpa and hash(bpa) == hash(fresh_bpa) and repr(bpa) == repr(fresh_bpa)
 
     def test_bound_order_enforced(self):
         with pytest.raises(IvbelError, match="violates"):

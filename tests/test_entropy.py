@@ -175,6 +175,13 @@ class TestApi:
         with pytest.raises(IvbelError, match="needs a weight or an evaluator"):
             EntropyMeasure("x")
 
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+    def test_separable_beta_must_be_finite_and_non_negative(self, beta):
+        # A negative beta makes the measure convex, and the water-fill
+        # weights 2**(k/beta) need a finite beta.
+        with pytest.raises(IvbelError, match="measure 'x' needs a finite beta >= 0"):
+            EntropyMeasure("x", beta=beta, weight=lambda a, f: 0.0)
+
     def test_profile_rejects_non_separable(self):
         with pytest.raises(IvbelError, match="is not separable"):
             separable_profile("yager", (FRAME.full_set,), FRAME)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ivbel import (
     SEPARABLE_MEASURE_IDS,
     Bpa,
+    EntropyMeasure,
     FocalSet,
     Frame,
     IntervalBeliefStructure,
@@ -38,9 +39,17 @@ from helpers import (
     random_normalized_ibs,
     random_point_in,
     random_valid_ibs,
+    water_fill_oracle,
 )
 
 CONCAVE_IDS = tuple(m for m in SEPARABLE_MEASURE_IDS if m != "dubois-prade")
+
+
+# Custom separable measures with beta other than 0 and 1: k_A = |A|.
+CUSTOM_BETA = tuple(
+    EntropyMeasure(f"card-beta-{beta}", beta=beta, weight=lambda a, f: float(a.cardinality))
+    for beta in (0.5, 2.0)
+)
 
 
 def normalized(mapping):
@@ -78,6 +87,45 @@ class TestWaterFill:
         with pytest.raises(IvbelError, match="water filling requires"):
             water_fill((0.6, 0.6), (0.7, 0.7), (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "lower, upper, weights",
+        [
+            pytest.param((0.0,), (1.0,), (1.0,), id="one-set"),
+            pytest.param((0.0,) * 3, (1.0,) * 3, (1.0, 2.0, 4.0), id="all-free"),
+            pytest.param((0.6, 0.0), (0.7, 0.4), (1.0, 1.0), id="all-clamped"),
+            pytest.param(
+                (0.1, 0.1, 0.1, 0.0), (0.4, 0.4, 0.4, 0.4), (1.0,) * 4, id="repeated-breakpoints"
+            ),
+            pytest.param((0.2, 0.3, 0.0), (0.2, 0.3, 1.0), (1.0, 2.0, 1.0), id="zero-width"),
+            pytest.param((0.5, 0.5), (0.8, 0.9), (1.0, 2.0), id="crossing-at-first"),
+            pytest.param((0.0, 0.1), (0.3, 0.7), (1.0, 3.0), id="crossing-at-last"),
+            # The breakpoint sweep's running sum reaches one at a point
+            # where math.fsum of the clamped masses does not (fuzzed).
+            pytest.param((0.2,), (1.0,), (3.0000000000000004,), id="sweep-overshoots-one-set"),
+            pytest.param(
+                (0.2105263157894737, 0.0, 0.0),
+                (0.4210526315789474, 0.3157894736842105, 0.2631578947368421),
+                (1.0, 0.3333333333333333, 1.0),
+                id="sweep-overshoots-three-sets",
+            ),
+        ],
+    )
+    def test_bit_identical_to_bisection(self, lower, upper, weights):
+        got = water_fill(lower, upper, weights)
+        assert got == water_fill_oracle(lower, upper, weights)
+        assert repr(got) == repr(water_fill_oracle(lower, upper, weights))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_bit_identical_to_bisection_on_wide_bodies(self, seed):
+        rng = random.Random(seed)
+        ibs = random_box_ibs(rng, rng.randint(1, 31), rng.choice((0.0, 0.05, 0.4, 1.0)))
+        lower, upper = ibs.lower_bounds, ibs.upper_bounds
+        for mid in CONCAVE_IDS:
+            keys = [k for k, _ in separable_profile(mid, ibs.focal_sets, ibs.frame)]
+            weights = tuple(2.0**k for k in keys)
+            assert water_fill(lower, upper, weights) == water_fill_oracle(lower, upper, weights)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_kkt_certificate(self, seed):
@@ -87,6 +135,7 @@ class TestWaterFill:
         ibs = random_normalized_ibs(rng)
         weights = tuple(2.0 ** rng.uniform(0.0, 2.0) for _ in ibs.entries)
         masses, c = water_fill(ibs.lower_bounds, ibs.upper_bounds, weights)
+        assert (masses, c) == water_fill_oracle(ibs.lower_bounds, ibs.upper_bounds, weights)
         assert math.fsum(masses) == pytest.approx(1.0, abs=1e-9)
         for m, lo, hi, w in zip(masses, ibs.lower_bounds, ibs.upper_bounds, weights):
             free = w * c
@@ -195,7 +244,7 @@ class TestBounds:
     def test_grid_oracle_agreement(self, seed):
         rng = random.Random(seed)
         ibs = normalize(random_aligned_ibs(rng, step=0.01))
-        for mid in SEPARABLE_MEASURE_IDS:
+        for mid in SEPARABLE_MEASURE_IDS + CUSTOM_BETA:
             sol = entropy_bounds(ibs, mid)
             g_min, g_max = grid_oracle(ibs, mid, step=0.01)
             # The lattice subsamples the polytope, so the scan can only
@@ -204,6 +253,25 @@ class TestBounds:
             assert g_max <= sol.h_max + 1e-9
             assert abs(g_max - sol.h_max) < 2e-3
             assert abs(g_min - sol.h_min) < 2e-3
+
+
+    @pytest.mark.parametrize(
+        "beta, m_max, step",
+        [(0.5, (16 / 17, 1 / 17), 1 / 340), (2.0, (2 / 3, 1 / 3), 1 / 300)],
+        ids=["beta-0.5", "beta-2"],
+    )
+    def test_custom_beta_maximum(self, beta, m_max, step):
+        # With k = (2, 0) on [0, 1] boxes the maximum sits where the masses
+        # are in ratio 2**(2/beta) : 1, a point of the lattice scanned.
+        ibs = IntervalBeliefStructure.from_mapping(
+            Frame(("a", "b")), {("a",): (0.0, 1.0), ("b",): (0.0, 1.0)}
+        )
+        meas = EntropyMeasure("b", beta=beta, weight=lambda a, f: 2.0 if a.bits == 1 else 0.0)
+        sol = entropy_bounds(ibs, meas)
+        assert tuple(m for _, m in sol.m_max.entries) == pytest.approx(m_max, abs=1e-15)
+        assert (sol.h_min, sol.h_max) == pytest.approx(
+            grid_oracle(ibs, meas, step=step), abs=1e-12
+        )
 
 
 class TestGridOracle:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ivbel import (
     Bpa,
+    FocalSet,
     Frame,
     IfsElement,
     IntervalBeliefStructure,
@@ -38,6 +39,7 @@ from ivbel.reproduce import load_bundled
 
 from helpers import (
     FRAME3,
+    leezhu_oracle,
     near_conflict_body,
     near_conflict_pair,
     random_bpa,
@@ -145,6 +147,40 @@ class TestLeeZhu:
         ibs2 = IntervalBeliefStructure.from_mapping(FRAME, {("B",): (1.0, 1.0)})
         with pytest.raises(TotalConflictError, match="every focal-set pair conflicts"):
             leezhu_combine(ibs1, ibs2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_bit_identical_to_pnorm_oracle(self, seed):
+        """Raw, invalid and point-valued bodies of 1..31 sets on a 5-element
+        frame give the same result, repr included, as the earlier form."""
+        rng = random.Random(seed)
+        frame = Frame(("a", "b", "c", "d", "e"))
+
+        def body(kind):
+            bits = rng.sample(range(1, 32), rng.randint(1, 31))
+            if kind == "point":
+                masses = [rng.expovariate(1.0) for _ in bits]
+                total = sum(masses)
+                entries = [(m / total, m / total) for m in masses]
+            else:
+                scale = 1.0 / len(bits) if kind == "raw" else rng.choice((0.01, 2.0))
+                entries = sorted((rng.uniform(0, scale), rng.uniform(0, 2 * scale)) for _ in bits)
+                entries = [(min(lo, 1.0), min(max(lo, hi), 1.0)) for lo, hi in entries]
+            return IntervalBeliefStructure(
+                frame, tuple((FocalSet(b), lo, hi) for b, (lo, hi) in zip(bits, entries))
+            )
+
+        ibs1 = body(rng.choice(("raw", "invalid", "point")))
+        ibs2 = body(rng.choice(("raw", "invalid", "point")))
+        for w in (1.0, 2.0, 3.0, 256.0):
+            try:
+                want = leezhu_oracle(ibs1, ibs2, w)
+            except TotalConflictError:
+                with pytest.raises(TotalConflictError):
+                    leezhu_combine(ibs1, ibs2, w)
+                continue
+            got = leezhu_combine(ibs1, ibs2, w)
+            assert got == want and repr(got) == repr(want)
 
 
 class TestDenoeux:
