@@ -30,9 +30,7 @@ from .core import (
     IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
-    _mass_result,
     degenerate_bpa,
-    from_bpa,
     is_normalized,
     normalization_steps,
     normalize,
@@ -250,7 +248,7 @@ def _run_engine(
                 f" body {name!r} has interval bounds"
             )
     combined, conflict = dempster_combine_n([degenerate_bpa(b) for b in bodies])
-    result = _mass_result(combined.frame, from_bpa(combined).entries)
+    result = IntervalMassResult(combined.frame, tuple((fs, m, m) for fs, m in combined.entries))
     return result, [f"cumulative conflict: K = {conflict:.4f}"], []
 
 

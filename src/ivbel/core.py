@@ -289,6 +289,18 @@ class _IntervalEntries(_Entries):
     def interval(self, a: FocalSet) -> tuple[float, float]:
         return self._lookup.get(a.bits, (0.0, 0.0))
 
+    @cached_property
+    def lower_bounds(self) -> tuple[float, ...]:
+        return tuple(lo for _, lo, _ in self.entries)
+
+    @cached_property
+    def upper_bounds(self) -> tuple[float, ...]:
+        return tuple(hi for _, _, hi in self.entries)
+
+    def is_degenerate(self, tol: float = MASS_SUM_TOL) -> bool:
+        """True when every width is ``<= tol``, i.e. the structure is a BPA."""
+        return all(hi - lo <= tol for _, lo, hi in self.entries)
+
 
 @dataclass(frozen=True)
 class IntervalBeliefStructure(_IntervalEntries):
@@ -316,18 +328,6 @@ class IntervalBeliefStructure(_IntervalEntries):
             tuple((_coerce_set(frame, key), lo, hi) for key, (lo, hi) in bounds.items()),
         )
 
-    @cached_property
-    def lower_bounds(self) -> tuple[float, ...]:
-        return tuple(lo for _, lo, _ in self.entries)
-
-    @cached_property
-    def upper_bounds(self) -> tuple[float, ...]:
-        return tuple(hi for _, _, hi in self.entries)
-
-    def is_degenerate(self, tol: float = MASS_SUM_TOL) -> bool:
-        """True when every width is ``<= tol``, i.e. the structure is a BPA."""
-        return all(hi - lo <= tol for _, lo, hi in self.entries)
-
 
 @dataclass(frozen=True)
 class IntervalMassResult(_IntervalEntries):
@@ -335,15 +335,19 @@ class IntervalMassResult(_IntervalEntries):
 
     ``includes_empty`` carries the bounds attributed to the empty set when a
     method tracks conflict explicitly (pre-normalization); it is ``None``
-    otherwise.  ``normalized`` records whether the non-empty entries satisfy
-    the tightness conditions checked by :func:`is_normalized`.
+    otherwise.  ``normalized`` is derived: it reads ``True`` exactly when
+    there is at least one entry and the entries pass :func:`is_normalized`.
+    Passing ``normalized=False`` withholds the flag, as for raw bounds that
+    still await a normalization step.
     """
 
     includes_empty: tuple[float, float] | None = None
-    normalized: bool = False
+    normalized: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        flag = self.normalized and bool(self.entries) and is_normalized(self)
+        object.__setattr__(self, "normalized", flag)
         if self.includes_empty is not None:
             lo, hi = self.includes_empty
             if not 0.0 <= lo <= hi <= 1.0:
@@ -374,7 +378,7 @@ class ValidityVerdict:
         return self.ok
 
 
-def validate_ibs(ibs: IntervalBeliefStructure) -> ValidityVerdict:
+def validate_ibs(ibs: _IntervalEntries) -> ValidityVerdict:
     """Check that at least one BPA fits within the bounds.
 
     A structure is valid iff every interval satisfies ``0 <= lo <= hi <= 1``
@@ -390,7 +394,7 @@ def validate_ibs(ibs: IntervalBeliefStructure) -> ValidityVerdict:
     return ValidityVerdict()
 
 
-def is_normalized(ibs: IntervalBeliefStructure) -> bool:
+def is_normalized(ibs: _IntervalEntries) -> bool:
     """Check that every bound is attainable by some BPA within the bounds.
 
     For each entry ``k`` the two tightness conditions must hold:
@@ -422,15 +426,6 @@ def _check_bodies(bodies: Sequence[IntervalBeliefStructure], *, normalized: bool
                 raise IvbelError(
                     f"body {idx} is not normalized; normalize inputs before combining"
                 )
-
-
-def _mass_result(
-    frame: Frame, entries: Iterable[tuple[FocalSet, float, float]]
-) -> IntervalMassResult:
-    """A combination result on non-empty focal sets, flagged by
-    :func:`is_normalized`."""
-    ibs = IntervalBeliefStructure(frame, tuple(entries))
-    return IntervalMassResult(frame, ibs.entries, normalized=is_normalized(ibs))
 
 
 def _rescale_proportionally(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:

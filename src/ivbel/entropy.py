@@ -167,12 +167,19 @@ def separable_profile(
     """Per-focal-set ``(k_A, beta)`` pairs for a separable measure.
 
     Raises for non-separable measures: their value at a point depends on the
-    whole assignment, so no per-set profile exists.
+    whole assignment, so no per-set profile exists.  Raises as well when a
+    weight ``k_A`` is not finite.
     """
     m = measure(m)
     if not m.separable:
         raise IvbelError(f"unsupported objective: measure {m.id!r} is not separable")
-    return tuple((m.weight(fs, frame), m.beta) for fs in focal_sets)
+    profile = tuple((m.weight(fs, frame), m.beta) for fs in focal_sets)
+    for fs, (k, _) in zip(focal_sets, profile):
+        if not math.isfinite(k):
+            raise IvbelError(
+                f"measure {m.id!r} gives the non-finite weight {k!r} to {frame.format_set(fs)}"
+            )
+    return profile
 
 
 def entropy_from_profile(

@@ -23,7 +23,6 @@ from .core import (
     TotalConflictError,
     _check_bodies,
     _check_same_frame,
-    _mass_result,
 )
 from .entropy import EntropyMeasure, measure
 from .optimize import entropy_bounds
@@ -164,16 +163,15 @@ def proposed_combine_report(
     support.update(fs.bits for fs in folded_max.focal_sets)
     support.update(fs.bits for fs in folded_min.focal_sets)
 
-    frame = bodies[0].frame
     entries = []
-    for bits in sorted(support):
+    for bits in support:
         fs = FocalSet(bits)
         v1 = folded_max.mass(fs)
         v2 = folded_min.mass(fs)
         entries.append((fs, min(v1, v2), max(v1, v2)))
 
     return CombinationReport(
-        result=_mass_result(frame, entries),
+        result=IntervalMassResult(bodies[0].frame, tuple(entries)),
         conflicts=(k_max, k_min),
         intermediate_bpas=tuple(intermediates),
         notes=tuple(notes),

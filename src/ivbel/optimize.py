@@ -128,7 +128,15 @@ def _max_vec(
     keys = tuple(k for k, _ in profile)
     if meas.beta == 0.0:
         return _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=True)
-    weights = tuple(2.0 ** (k / meas.beta) for k in keys)
+    try:
+        weights = tuple(2.0 ** (k / meas.beta) for k in keys)
+    except OverflowError:  # float ** raises where * and / give inf
+        weights = (math.inf,)
+    if not all(0.0 < w < math.inf for w in weights):
+        raise IvbelError(
+            f"measure {meas.id!r} with beta = {meas.beta!r}: a water-fill weight"
+            " 2**(k/beta) is not a positive finite float"
+        )
     return water_fill(ibs.lower_bounds, ibs.upper_bounds, weights)[0]
 
 

@@ -16,6 +16,7 @@ Four families are implemented:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from .core import (
     NormalizationError,
     TotalConflictError,
     _check_bodies,
-    _mass_result,
     _pignistic_sums,
     normalize,
 )
@@ -101,12 +101,9 @@ def leezhu_combine(
             highs[inter] = v if v < 1.0 else 1.0
     if not lows:
         raise TotalConflictError("not combinable: every focal-set pair conflicts")
-    return _mass_result(
+    return IntervalMassResult(
         ibs1.frame,
-        (
-            (FocalSet(bits), min(lows[bits], highs[bits]), highs[bits])
-            for bits in sorted(lows)
-        ),
+        tuple((FocalSet(bits), min(lows[bits], highs[bits]), highs[bits]) for bits in lows),
     )
 
 
@@ -116,7 +113,7 @@ def leezhu_combine(
 
 def _targets(bodies: Sequence[IntervalBeliefStructure]) -> set[int]:
     """Intersections of one focal set per body; 0 is the empty set."""
-    targets = {(1 << bodies[0].frame.size) - 1}
+    targets = {bodies[0].frame.full_set.bits}
     for body in bodies:
         targets = {t & fs.bits for t in targets for fs in body.focal_sets}
     return targets
@@ -125,7 +122,7 @@ def _targets(bodies: Sequence[IntervalBeliefStructure]) -> set[int]:
 def _vertex_products(bodies: Sequence[IntervalBeliefStructure]) -> Iterator[dict]:
     """Intersection products of each tuple of polytope vertices, one vertex
     per body; key 0 holds the conflict mass."""
-    full = (1 << bodies[0].frame.size) - 1
+    full = bodies[0].frame.full_set.bits
     vertex_pairs = [
         [list(zip([fs.bits for fs in b.focal_sets], v)) for v in enumerate_vertices(b)]
         for b in bodies
@@ -174,8 +171,8 @@ def denoeux_combine(
     # sum can exceed 1 by as much.
     bounds = {t: (min(lows[t], 1.0), min(highs[t], 1.0)) for t in lows}
     empty = bounds.pop(0, (0.0, 0.0))
-    entries = tuple((FocalSet(bits), *bounds[bits]) for bits in sorted(bounds))
-    return IntervalMassResult(ibs1.frame, entries, includes_empty=empty)
+    entries = tuple((FocalSet(bits), *bounds[bits]) for bits in bounds)
+    return IntervalMassResult(ibs1.frame, entries, includes_empty=empty, normalized=False)
 
 
 def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
@@ -198,8 +195,8 @@ def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
     Otherwise both denominators are positive wherever the bound is.
     """
     e_lo, e_hi = raw.includes_empty if raw.includes_empty is not None else (0.0, 0.0)
-    sum_lo = math.fsum(lo for _, lo, _ in raw.entries)
-    sum_hi = math.fsum(hi for _, _, hi in raw.entries)
+    sum_lo = math.fsum(raw.lower_bounds)
+    sum_hi = math.fsum(raw.upper_bounds)
     if _total_conflict(sum_hi, e_lo):
         raise TotalConflictError(
             "not combinable: total conflict (no mass on any non-empty intersection)"
@@ -215,7 +212,7 @@ def denoeux_normalize(raw: IntervalMassResult) -> IntervalMassResult:
             )
         # Point-valued raw bounds can leave lo above hi by rounding.
         entries.append((fs, min(new_lo, new_hi), new_hi))
-    return _mass_result(raw.frame, entries)
+    return IntervalMassResult(raw.frame, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +246,8 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
     lows, highs = _extrema(targets, ratios())
     if math.inf in lows.values():
         raise TotalConflictError("not combinable: all vertex tuples are in total conflict")
-    return _mass_result(
-        bodies[0].frame,
-        ((FocalSet(bits), lows[bits], highs[bits]) for bits in sorted(targets)),
+    return IntervalMassResult(
+        bodies[0].frame, tuple((FocalSet(bits), lows[bits], highs[bits]) for bits in targets)
     )
 
 
@@ -312,9 +308,7 @@ def interval_pignistic(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
     frame = ibs.frame
     lows = _pignistic_sums(frame, ((fs, lo) for fs, lo, _ in ibs.entries))
     highs = _pignistic_sums(frame, ((fs, hi) for fs, _, hi in ibs.entries))
-    entries = tuple(
-        (FocalSet(bits), lows[bits], min(1.0, highs[bits])) for bits in sorted(lows)
-    )
+    entries = tuple((FocalSet(bits), lows[bits], min(1.0, highs[bits])) for bits in lows)
     return normalize(IntervalBeliefStructure(frame, entries))
 
 
@@ -346,32 +340,24 @@ def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> SongStages
     normalized_bodies = tuple(normalize(b) for b in bodies)
     pignistic_bodies = tuple(interval_pignistic(b) for b in normalized_bodies)
 
-    ifs_bodies = []
-    for body in pignistic_bodies:
-        elements = []
-        for s in frame.singletons():
-            a, b = body.interval(s)
-            elements.append(IfsElement(s, mu=a, gamma=1.0 - b))
-        ifs_bodies.append(tuple(elements))
-
-    combined = []
-    for idx, s in enumerate(frame.singletons()):
-        acc = ifs_bodies[0][idx]
-        for elements in ifs_bodies[1:]:
-            acc = ifs_combine(acc, elements[idx])
-        combined.append(acc)
+    # Each pignistic body holds every singleton, in frame order.
+    ifs_bodies = tuple(
+        tuple(IfsElement(s, mu=a, gamma=1.0 - b) for s, a, b in body.entries)
+        for body in pignistic_bodies
+    )
+    combined = tuple(functools.reduce(ifs_combine, column) for column in zip(*ifs_bodies))
 
     # 1 - gamma can undershoot mu by a few ulps when the hesitancy is zero.
-    raw = _mass_result(
-        frame, ((e.target, min(e.mu, 1.0 - e.gamma), 1.0 - e.gamma) for e in combined)
+    raw = IntervalMassResult(
+        frame, tuple((e.target, min(e.mu, 1.0 - e.gamma), 1.0 - e.gamma) for e in combined)
     )
     return SongStages(
         normalized_bodies=normalized_bodies,
         pignistic_bodies=pignistic_bodies,
-        ifs_bodies=tuple(ifs_bodies),
-        combined_ifs=tuple(combined),
+        ifs_bodies=ifs_bodies,
+        combined_ifs=combined,
         raw=raw,
-        result=_mass_result(frame, normalize(raw.as_ibs()).entries),
+        result=IntervalMassResult(frame, normalize(raw.as_ibs()).entries),
     )
 
 

@@ -454,7 +454,7 @@ def reproduce_example33() -> TargetReport:
         ),
         AssertionCheck(
             "song output is point-valued on singletons",
-            det.result.as_ibs().is_degenerate(),
+            det.result.is_degenerate(),
         ),
     )
     notes = (f"conflict mass K = {conflict:.4f} for the plain rule",)

@@ -24,7 +24,7 @@ from ivbel import (
     measure,
     normalize,
 )
-from ivbel.core import MASS_SUM_TOL, _check_bodies, _mass_result
+from ivbel.core import MASS_SUM_TOL, _check_bodies
 from ivbel.entropy import _xlog2, entropy_from_profile, separable_profile
 from ivbel.polytope import _DEDUPE_DECIMALS, MAX_VERTEX_DIM, MIN_TIE_TOL
 
@@ -461,10 +461,7 @@ def leezhu_oracle(
             highs[inter] = _lz_union(highs.get(inter, 0.0), c_hi, w)
     if not lows:
         raise TotalConflictError("not combinable: every focal-set pair conflicts")
-    return _mass_result(
+    return IntervalMassResult(
         ibs1.frame,
-        (
-            (FocalSet(bits), min(lows[bits], highs[bits]), highs[bits])
-            for bits in sorted(lows)
-        ),
+        tuple((FocalSet(bits), min(lows[bits], highs[bits]), highs[bits]) for bits in lows),
     )

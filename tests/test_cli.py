@@ -301,6 +301,19 @@ class TestNormalize:
         assert "m1: rescaled proportionally; tightened bounds" in out
         assert "1.0000" in out
 
+    def test_no_mass_exits_2(self, capsys, tmp_path):
+        data = {
+            "format": 1,
+            "frame": ["A", "B"],
+            "bodies": [{"masses": [{"set": ["A"], "lo": 0.0, "hi": 0.0},
+                                   {"set": ["B"], "lo": 0.0, "hi": 0.0}]}],
+        }
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc, out, err = run(capsys, "normalize", str(path))
+        assert rc == 2 and out == ""
+        assert err == "error: cannot normalize: no mass available in any interval\n"
+
     def test_already_normalized_passthrough(self, capsys):
         rc, out, _ = run(capsys, "normalize", bundled("example5"))
         assert rc == 0

@@ -273,6 +273,25 @@ class TestIntervalStructure:
         with pytest.raises(IvbelError, match="empty-set interval .* out of range"):
             IntervalMassResult(FRAME, ((FRAME.full_set, 0.2, 0.7),), includes_empty=bounds)
 
+    def test_tight_result_reads_normalized_without_the_keyword(self):
+        tight = ((FRAME.singleton("A"), 0.2, 0.5), (FRAME.subset(("B", "C")), 0.5, 0.8))
+        assert is_normalized(IntervalBeliefStructure(FRAME, tight))
+        assert IntervalMassResult(FRAME, tight).normalized is True
+        assert IntervalMassResult(FRAME, tight, normalized=False).normalized is False
+
+    def test_normalized_claim_on_loose_entries_reads_false(self):
+        loose = ((FRAME.singleton("A"), 0.2, 0.9), (FRAME.subset(("B", "C")), 0.3, 0.8))
+        assert not is_normalized(IntervalBeliefStructure(FRAME, loose))
+        assert IntervalMassResult(FRAME, loose, normalized=True).normalized is False
+        assert IntervalMassResult(FRAME, (), normalized=True).normalized is False
+
+    def test_result_reads_like_a_body(self):
+        entries = ((FRAME.singleton("A"), 0.6, 0.8), (FRAME.subset(("B", "C")), 0.2, 0.4))
+        result = IntervalMassResult(FRAME, entries, includes_empty=(0.0, 0.2))
+        assert (result.lower_bounds, result.upper_bounds) == ((0.6, 0.2), (0.8, 0.4))
+        assert not result.is_degenerate() and result.is_degenerate(tol=0.25)
+        assert validate_ibs(result) and result.normalized
+
     def test_degenerate_round_trip(self):
         b = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})
         ibs = from_bpa(b)

@@ -274,6 +274,29 @@ class TestBounds:
         )
 
 
+    @pytest.mark.parametrize(
+        "k, beta, match",
+        [
+            (2.0, 1e-3, r"measure 'k' with beta = 0\.001: a water-fill weight"),
+            (-2.0, 1e-3, r"measure 'k' with beta = 0\.001: a water-fill weight"),
+            (1e308, 1.0, r"measure 'k' with beta = 1\.0: a water-fill weight"),
+            (math.nan, 1.0, r"measure 'k' gives the non-finite weight nan to \{a\}"),
+            (math.inf, 1.0, r"measure 'k' gives the non-finite weight inf to \{a\}"),
+            (math.nan, 0.0, r"measure 'k' gives the non-finite weight nan to \{a\}"),
+        ],
+        ids=["overflow", "underflow", "huge-k", "nan-k", "inf-k", "nan-k-linear"],
+    )
+    def test_custom_weight_out_of_float_range(self, k, beta, match):
+        # The weight k on {a} is not finite, or 2**(k/beta) overflows or
+        # underflows to 0, so neither water-fill nor the vertex search applies.
+        ibs = IntervalBeliefStructure.from_mapping(
+            Frame(("a", "b")), {("a",): (0.0, 1.0), ("b",): (0.0, 1.0)}
+        )
+        meas = EntropyMeasure("k", beta=beta, weight=lambda a, f: k if a.bits == 1 else 0.0)
+        with pytest.raises(IvbelError, match=match):
+            entropy_bounds(ibs, meas)
+
+
 class TestGridOracle:
     def test_refuses_many_sets(self):
         frame = Frame(("A", "B", "C", "D", "E", "F"))

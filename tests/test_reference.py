@@ -18,6 +18,7 @@ from ivbel import (
     IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
+    NormalizationError,
     TotalConflictError,
     dempster_combine,
     denoeux_combine,
@@ -193,6 +194,13 @@ class TestDenoeux:
         assert raw.interval(FRAME.subset(("A", "B"))) == pytest.approx((0.2, 0.2))
         assert not raw.normalized
 
+    def test_raw_result_withholds_the_flag(self):
+        # No conflict: the raw bounds are tight, but they are still raw.
+        b = from_bpa(Bpa.from_mapping(FRAME, {("A", "B"): 0.5, ("A", "B", "C"): 0.5}))
+        raw = denoeux_combine(b, b)
+        assert raw.includes_empty == (0.0, 0.0) and is_normalized(raw)
+        assert raw.normalized is False
+
     def test_point_masses_normalize_to_dempster(self):
         b1, b2 = point_pair()
         expected, _ = dempster_combine(b1, b2)
@@ -214,6 +222,21 @@ class TestDenoeux:
         out = denoeux_normalize(raw)
         assert out.interval(FRAME.singleton("A")) == pytest.approx((0.25, 0.625))
         assert out.interval(FRAME.singleton("B")) == pytest.approx((0.375, 0.75))
+
+    def test_normalize_refuses_an_empty_interval(self):
+        # Raw bounds whose masses sum above one: A's lower bound divides by
+        # 1 and its upper bound by 1.2, which leaves no interval.
+        raw = IntervalMassResult(
+            FRAME,
+            ((FRAME.singleton("A"), 0.6, 0.6), (FRAME.singleton("B"), 0.6, 0.6)),
+            includes_empty=(0.0, 0.0),
+            normalized=False,
+        )
+        with pytest.raises(
+            NormalizationError,
+            match=r"^cannot normalize interval for \{A\}: \[0\.6, 0\.5\] is empty$",
+        ):
+            denoeux_normalize(raw)
 
     def test_requires_normalized_inputs(self):
         loose = IntervalBeliefStructure.from_mapping(
