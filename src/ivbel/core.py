@@ -129,7 +129,7 @@ class Frame:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_set(self) -> FocalSet:
         return FocalSet((1 << self.size) - 1)
 
@@ -154,7 +154,9 @@ class Frame:
         return tuple(label for i, label in enumerate(self.labels) if a.bits >> i & 1)
 
     def singletons(self) -> tuple[FocalSet, ...]:
-        return tuple(FocalSet(1 << i) for i in range(self.size))
+        return self._singletons
+
+    _singletons = cached_property(lambda self: tuple(FocalSet(1 << i) for i in range(self.size)))
 
     def format_set(self, a: FocalSet) -> str:
         if a.is_empty:
@@ -224,6 +226,9 @@ def _canonical_interval_entries(
     return tuple(out)
 
 
+# A subclass that adds no fields is not decorated again: it inherits the
+# generated __init__, __eq__ (same class only), __hash__ and __repr__ (its own
+# class name), and the refusal to reassign a field.
 @dataclass(frozen=True)
 class _Entries:
     """Distinct non-empty focal sets of one frame, each followed by its
@@ -251,7 +256,6 @@ class _Entries:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
 class Bpa(_Entries):
     """A basic probability assignment: positive masses on non-empty focal
     sets, summing to one within :data:`MASS_SUM_TOL`.
@@ -280,7 +284,6 @@ class Bpa(_Entries):
         return self._lookup.get(a.bits, (0.0,))[0]
 
 
-@dataclass(frozen=True)
 class _IntervalEntries(_Entries):
     """Entries ``(FocalSet, lo, hi)`` with ``0 <= lo <= hi <= 1``."""
 
@@ -302,7 +305,6 @@ class _IntervalEntries(_Entries):
         return all(hi - lo <= tol for _, lo, hi in self.entries)
 
 
-@dataclass(frozen=True)
 class IntervalBeliefStructure(_IntervalEntries):
     """Focal sets with interval bounds ``[lo, hi]`` on their masses.
 

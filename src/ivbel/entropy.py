@@ -154,10 +154,8 @@ def entropy(m: str | EntropyMeasure, b: Bpa) -> float:
     """Evaluate an uncertainty measure on a BPA."""
     m = measure(m)
     if m.separable:
-        return entropy_from_profile(
-            (mass for _, mass in b.entries),
-            ((m.weight(fs, b.frame), m.beta) for fs, _ in b.entries),
-        )
+        profile = separable_profile(m, b.focal_sets, b.frame)
+        return entropy_from_profile((mass for _, mass in b.entries), profile)
     return m.evaluate(b)
 
 

@@ -87,16 +87,17 @@ def _greedy_linear(
     return tuple(m)
 
 
-def _secant_bound(base, extra, fill, rank, depth) -> float:
-    """``base`` plus the least secant increment of the coordinates with
-    ``rank >= depth`` sharing ``extra`` mass above their lower bounds, give
-    or take the pruning window: fill in slope order all the mass the window
-    allows while slopes are negative, then only what it requires."""
+def _secant_bound(base, extra, fill, depth, free) -> float:
+    """``base`` plus the least secant increment of the open coordinates
+    (``j >= depth``, or ``j == free``) sharing ``extra`` mass above their
+    lower bounds, give or take the pruning window: fill in slope order all
+    the mass the window allows while slopes are negative, then only what it
+    requires."""
     window = MASS_SUM_TOL + _PRUNE_SLACK
     target = extra + window
     filled = 0.0
     for slope, width, j in fill:
-        if rank[j] < depth:
+        if j < depth and j != free:
             continue
         if slope >= 0.0:
             target = extra - window
@@ -158,9 +159,7 @@ def enumerate_vertices(
             1 if h - m <= _FILL_EPS else 2 if m - l > _FILL_EPS else 0
             for l, h, m in zip(lo, hi, _greedy_linear(lo, hi, slope, descending=False))
         ]
-        # At depth d, rank[j] < d marks a fixed coordinate (the free one has
-        # rank n); lifted[d] is every term at lo plus the lifts of those at hi.
-        rank = list(range(n))
+        # lifted[d]: every term at lo plus the lifts of the path's bounds at hi.
         lifted = [math.fsum(phi_lo)] * (n + 1)
         scores: dict[tuple[float, ...], float] = {}
         best = math.inf
@@ -189,9 +188,8 @@ def enumerate_vertices(
             continue
         if bounded:
             up = lifted[d] + lift[d] if choice == 1 else lifted[d]
-            rank[d] = n if choice == 2 else d
             extra = 1.0 - t - rest_lo[d] - lo_f[f]
-            if _secant_bound(up, extra, fill, rank, d + 1) > best + cut:
+            if _secant_bound(up, extra, fill, d + 1, f) > best + cut:
                 continue
             lifted[d + 1] = up
         values[d] = value

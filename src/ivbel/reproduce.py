@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import Bpa, normalize
+from .core import MASS_DROP_EPS, MASS_SUM_TOL, Bpa, normalize
 from .entropy import SEPARABLE_MEASURE_IDS
 from .formats import EvidenceFile, parse_evidence
 from .fusion import dempster_combine, proposed_combine_report
@@ -33,10 +33,6 @@ __all__ = [
     "reproduce",
     "load_bundled",
 ]
-
-_MONOTONE_SLACK = 1e-9  # bound monotonicity in w (table2)
-_REDERIVE_TOL = 1e-9  # combined intervals against the stage folds (example4)
-_PIGNISTIC_POINT_TOL = 1e-12  # pignistic bodies point-valued (example32)
 
 
 @dataclass(frozen=True)
@@ -288,7 +284,7 @@ def reproduce_table2() -> TargetReport:
     for row in _TABLE2_EXPECTED[2]:
         for bound, idx in (("lo", 0), ("hi", 1)):
             series = [computed[w][row][idx] for w in (2, 3, 4, 5)]
-            ok = all(b >= a - _MONOTONE_SLACK for a, b in zip(series, series[1:]))
+            ok = all(b >= a - MASS_SUM_TOL for a, b in zip(series, series[1:]))
             detail = " -> ".join(f"{v:.4f}" for v in series)
             assertions.append(
                 AssertionCheck(f"monotone {bound} {row} over w=2..5", ok, detail)
@@ -372,7 +368,7 @@ def reproduce_example4() -> TargetReport:
     consistent = True
     for fs, lo, hi in rep.result.entries:
         a, b = fold_max.mass(fs), fold_min.mass(fs)
-        if abs(min(a, b) - lo) > _REDERIVE_TOL or abs(max(a, b) - hi) > _REDERIVE_TOL:
+        if abs(min(a, b) - lo) > MASS_SUM_TOL or abs(max(a, b) - hi) > MASS_SUM_TOL:
             consistent = False
     assertions = (
         AssertionCheck(
@@ -409,11 +405,7 @@ def reproduce_example32() -> TargetReport:
         ),
         AssertionCheck(
             "both pignistic bodies are point-valued",
-            all(
-                abs(hi - lo) <= _PIGNISTIC_POINT_TOL
-                for body in det.pignistic_bodies
-                for _, lo, hi in body.entries
-            ),
+            all(body.is_degenerate(MASS_DROP_EPS) for body in det.pignistic_bodies),
         ),
     )
     return TargetReport("example32", tuple(cells), assertions)

@@ -1,5 +1,6 @@
 """Frames, focal sets, BPAs, interval structures, and normalization."""
 
+import dataclasses
 import math
 import random
 import subprocess
@@ -249,6 +250,31 @@ class TestIntervalStructure:
         assert bpa.focal_sets == (FRAME.singleton("A"), FRAME.subset(("B", "C")))
         fresh_bpa = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})
         assert bpa == fresh_bpa and hash(bpa) == hash(fresh_bpa) and repr(bpa) == repr(fresh_bpa)
+
+    @pytest.mark.parametrize(
+        "cls, other, values",
+        [
+            (Bpa, type("BpaTwin", (Bpa,), {}), ((0.6,), (0.4,))),
+            (IntervalBeliefStructure, IntervalMassResult, ((0.6, 0.6), (0.4, 0.4))),
+            (IntervalMassResult, IntervalBeliefStructure, ((0.6, 0.6), (0.4, 0.4))),
+        ],
+        ids=["bpa", "body", "result"],
+    )
+    def test_containers_keep_the_generated_methods(self, cls, other, values):
+        # Bpa and IntervalBeliefStructure inherit _Entries' generated methods
+        # without being decorated again; IntervalMassResult adds fields.
+        sets = (FRAME.singleton("A"), FRAME.subset(("B", "C")))
+        entries = tuple((fs, *v) for fs, v in zip(sets, values))
+        a, b = cls(FRAME, entries), cls(FRAME, entries)
+        assert a == b and hash(a) == hash(b)
+        assert a != other(FRAME, entries)
+        assert repr(a).startswith(cls.__name__ + "(frame=")
+        extra = ["includes_empty", "normalized"] if cls is IntervalMassResult else []
+        assert [f.name for f in dataclasses.fields(a)] == ["frame", "entries", *extra]
+        copy = dataclasses.replace(a, frame=Frame(FRAME.labels))
+        assert type(copy) is cls and copy == a
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.entries = ()
 
     def test_bound_order_enforced(self):
         with pytest.raises(IvbelError, match="violates"):

@@ -182,6 +182,29 @@ class TestApi:
         with pytest.raises(IvbelError, match="measure 'x' needs a finite beta >= 0"):
             EntropyMeasure("x", beta=beta, weight=lambda a, f: 0.0)
 
+    @pytest.mark.parametrize(
+        "k, beta, match",
+        [
+            (math.nan, 1.0, r"measure 'k' gives the non-finite weight nan to \{a\}"),
+            (math.inf, 1.0, r"measure 'k' gives the non-finite weight inf to \{a\}"),
+            (math.nan, 0.0, r"measure 'k' gives the non-finite weight nan to \{a\}"),
+            (1e308, 1.0, None),
+            (2.0, 1e-3, None),
+        ],
+        ids=["nan-k", "inf-k", "nan-k-linear", "huge-k", "overflow"],
+    )
+    def test_custom_weight_pointwise(self, k, beta, match):
+        # entropy reads weights through separable_profile, so it refuses the
+        # weights that entropy_bounds refuses, with the same message; weights
+        # that only the water-fill cannot use still evaluate pointwise.
+        bpa = Bpa.from_mapping(Frame(("a", "b")), {("a",): 0.5, ("b",): 0.5})
+        meas = EntropyMeasure("k", beta=beta, weight=lambda a, f: k if a.bits == 1 else 0.0)
+        if match is None:
+            assert entropy(meas, bpa) == pytest.approx(0.5 * k + beta, rel=1e-12)
+        else:
+            with pytest.raises(IvbelError, match=match):
+                entropy(meas, bpa)
+
     def test_profile_rejects_non_separable(self):
         with pytest.raises(IvbelError, match="is not separable"):
             separable_profile("yager", (FRAME.full_set,), FRAME)

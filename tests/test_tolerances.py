@@ -1,5 +1,5 @@
-"""Every tolerance in the package has a name, and the total-conflict rule
-has one owner."""
+"""Every tolerance in the package has a name, `reproduce` keeps no copy of
+core's, and the total-conflict rule has one owner."""
 
 import ast
 import re
@@ -80,3 +80,19 @@ def test_total_conflict_has_one_owner():
         for reader in _readers(SRC / module, "MASS_DROP_EPS")
     }
     assert readers == {"fusion.py:_total_conflict", "reference.py:IfsElement.__post_init__"}
+
+
+def test_reproduce_reads_core_tolerances():
+    # reproduce.py's numerical checks use core's MASS_SUM_TOL and
+    # MASS_DROP_EPS; a module-level float of its own would be a second copy
+    # that can drift from them.
+    path = SRC / "reproduce.py"
+    own = [
+        ast.unparse(node)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, float)
+    ]
+    assert own == [], "use core's tolerances: " + ", ".join(own)
+    assert _readers(path, "MASS_SUM_TOL") and _readers(path, "MASS_DROP_EPS")
