@@ -12,125 +12,60 @@ up to closed intervals.  It provides:
   (p-norm aggregation, interval Dempster variants, an intuitionistic
   fuzzy route), and
 * JSON/CSV/table input and output helpers and a command-line front end.
+
+Each submodule loads when one of its names is first read, so the command line
+loads only the engines a command runs.
 """
 
-from .core import (
-    EMPTY_SET,
-    Bpa,
-    FocalSet,
-    Frame,
-    IntervalBeliefStructure,
-    IntervalMassResult,
-    IvbelError,
-    NormalizationError,
-    SchemaError,
-    TotalConflictError,
-    ValidityVerdict,
-    bel,
-    degenerate_bpa,
-    from_bpa,
-    is_normalized,
-    normalize,
-    pignistic,
-    pl,
-    plausibility_transform,
-    validate_ibs,
-)
-from .entropy import (
-    MEASURE_IDS,
-    SEPARABLE_MEASURE_IDS,
-    EntropyMeasure,
-    entropy,
-    measure,
-)
-from .formats import (
-    EvidenceFile,
-    evidence_to_json,
-    load_evidence,
-    parse_evidence,
-    result_from_json,
-    result_to_json,
-)
-from .fusion import (
-    CombinationReport,
-    dempster_combine,
-    dempster_combine_n,
-    proposed_combine,
-    proposed_combine_report,
-)
-from .optimize import (
-    EntropyBoundsSolution,
-    entropy_bounds,
-    max_entropy_bpa,
-    min_entropy_bpa,
-)
-from .polytope import contains, enumerate_vertices
-from .reference import (
-    IfsElement,
-    SongStages,
-    denoeux_combine,
-    denoeux_normalize,
-    ifs_combine,
-    interval_pignistic,
-    leezhu_combine,
-    song_combine,
-    song_combine_detail,
-    wang_combine,
-)
+import importlib
+
+# ``entropy`` names both a submodule and its function, and loading the
+# submodule binds ``ivbel.entropy`` to the module.  Loading it here, and then
+# binding the function, keeps ``ivbel.entropy`` the function.
+from .entropy import entropy
+
+# Each public name, under the module that defines it; ``__getattr__`` loads
+# that module when the name is first read.
+_EXPORTS = {
+    "core": (
+        "EMPTY_SET", "Bpa", "FocalSet", "Frame", "IntervalBeliefStructure",
+        "IntervalMassResult", "IvbelError", "NormalizationError", "SchemaError",
+        "TotalConflictError", "ValidityVerdict", "bel", "degenerate_bpa", "from_bpa",
+        "is_normalized", "normalize", "pignistic", "pl", "plausibility_transform",
+        "validate_ibs",
+    ),
+    "entropy": ("MEASURE_IDS", "SEPARABLE_MEASURE_IDS", "EntropyMeasure", "entropy", "measure"),
+    "formats": (
+        "EvidenceFile", "evidence_to_json", "load_evidence", "parse_evidence",
+        "result_from_json", "result_to_json",
+    ),
+    "fusion": (
+        "CombinationReport", "dempster_combine", "dempster_combine_n", "proposed_combine",
+        "proposed_combine_report",
+    ),
+    "optimize": ("EntropyBoundsSolution", "entropy_bounds", "max_entropy_bpa", "min_entropy_bpa"),
+    "polytope": ("contains", "enumerate_vertices"),
+    "reference": (
+        "IfsElement", "SongStages", "denoeux_combine", "denoeux_normalize", "ifs_combine",
+        "interval_pignistic", "leezhu_combine", "song_combine", "song_combine_detail",
+        "wang_combine",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = sorted(_MODULE_OF)
 
-__all__ = [
-    "EMPTY_SET",
-    "Bpa",
-    "CombinationReport",
-    "EntropyBoundsSolution",
-    "EntropyMeasure",
-    "EvidenceFile",
-    "FocalSet",
-    "Frame",
-    "IfsElement",
-    "IntervalBeliefStructure",
-    "IntervalMassResult",
-    "IvbelError",
-    "MEASURE_IDS",
-    "NormalizationError",
-    "SEPARABLE_MEASURE_IDS",
-    "SchemaError",
-    "SongStages",
-    "TotalConflictError",
-    "ValidityVerdict",
-    "bel",
-    "contains",
-    "degenerate_bpa",
-    "dempster_combine",
-    "dempster_combine_n",
-    "denoeux_combine",
-    "denoeux_normalize",
-    "entropy",
-    "entropy_bounds",
-    "enumerate_vertices",
-    "evidence_to_json",
-    "from_bpa",
-    "ifs_combine",
-    "interval_pignistic",
-    "is_normalized",
-    "leezhu_combine",
-    "load_evidence",
-    "max_entropy_bpa",
-    "measure",
-    "min_entropy_bpa",
-    "normalize",
-    "parse_evidence",
-    "pignistic",
-    "pl",
-    "plausibility_transform",
-    "proposed_combine",
-    "proposed_combine_report",
-    "result_from_json",
-    "result_to_json",
-    "song_combine",
-    "song_combine_detail",
-    "validate_ibs",
-    "wang_combine",
-]
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -39,6 +39,7 @@ from .core import (
 from .entropy import MEASURE_IDS, SEPARABLE_MEASURE_IDS, entropy, measure
 from .formats import (
     FORMAT_VERSION,
+    REPRODUCE_TARGETS,
     EvidenceFile,
     evidence_to_json,
     load_evidence,
@@ -47,16 +48,9 @@ from .formats import (
     render_table,
     result_to_json,
 )
-from .fusion import dempster_combine_n, proposed_combine_report
-from .optimize import entropy_bounds
-from .reference import (
-    denoeux_combine,
-    denoeux_normalize,
-    leezhu_combine,
-    song_combine_detail,
-    wang_combine,
-)
-from .reproduce import TARGETS, reproduce
+
+# The engine modules (optimize, fusion, reference, reproduce) are imported
+# inside the commands that run them, so validate and normalize never load them.
 
 METHODS = ("proposed", "wang", "denoeux", "leezhu", "song", "dempster")
 
@@ -162,6 +156,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
+    from .optimize import entropy_bounds
+
     ev = load_evidence(args.file)
     requested = MEASURE_IDS if args.measure == "all" else (measure(args.measure).id,)
 
@@ -214,6 +210,15 @@ def _run_engine(
 ) -> tuple[IntervalMassResult, list[str], list[str]]:
     """Run one engine on the bodies as given; returns (result, table-mode
     detail lines, notes)."""
+    from .fusion import dempster_combine_n, proposed_combine_report
+    from .reference import (
+        denoeux_combine,
+        denoeux_normalize,
+        leezhu_combine,
+        song_combine_detail,
+        wang_combine,
+    )
+
     if method in ("leezhu", "denoeux") and len(bodies) != 2:
         raise IvbelError(f"{method} combines exactly two bodies")
     if method == "leezhu":
@@ -337,7 +342,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    targets = TARGETS if args.target == "all" else (args.target,)
+    from .reproduce import reproduce
+
+    targets = REPRODUCE_TARGETS if args.target == "all" else (args.target,)
     reports = [reproduce(t) for t in targets]
     doc = {
         "format": FORMAT_VERSION,
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("reproduce", help="recompute bundled reference values")
-    p.add_argument("target", choices=TARGETS + ("all",))
+    p.add_argument("target", choices=REPRODUCE_TARGETS + ("all",))
     add_format(p, "table", "json")
     p.set_defaults(func=cmd_reproduce)
 

@@ -11,9 +11,8 @@ point mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, total_ordering
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "MASS_SUM_TOL",
@@ -63,20 +62,71 @@ class SchemaError(IvbelError):
     """Raised when an evidence file violates the input schema."""
 
 
-@dataclass(frozen=True, order=True)
-class FocalSet:
+class _Frozen:
+    """A value whose fields, named in ``_fields``, are set once in
+    ``__init__`` through ``object.__setattr__``.
+
+    It equals only an instance of its own class with equal fields, hashes as
+    the tuple of its fields, and refuses to have any attribute assigned or
+    deleted.  ``cached_property`` writes the instance ``__dict__`` directly,
+    so it still works; pickle and copy restore that ``__dict__`` the same way.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+
+@total_ordering
+class FocalSet(_Frozen):
     """A subset of a frame, as a bit pattern over the frame's elements.
 
     ``bits == 0`` denotes the empty set.  Containers (:class:`Bpa`,
     :class:`IntervalBeliefStructure`) reject empty focal sets; the value
     itself allows them so queries and conflict bookkeeping can use them.
+    Focal sets order by ``bits``.
     """
 
-    bits: int
+    _fields = ("bits",)
 
-    def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise IvbelError(f"focal set bits must be non-negative, got {self.bits}")
+    def __init__(self, bits: int) -> None:
+        if bits < 0:
+            raise IvbelError(f"focal set bits must be non-negative, got {bits}")
+        object.__setattr__(self, "bits", bits)
+
+    # _Frozen's methods for the one field, written out: focal sets are the
+    # values the package compares and hashes most.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
+
+    def __lt__(self, other: "FocalSet") -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits < other.bits
+        return NotImplemented
 
     @property
     def cardinality(self) -> int:
@@ -102,28 +152,27 @@ class FocalSet:
 EMPTY_SET = FocalSet(0)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Frozen):
     """An ordered frame of discernment with up to 16 distinct labels.
 
     The label order is canonical and fixed at construction; bit ``i`` of any
     :class:`FocalSet` over this frame refers to ``labels[i]``.
     """
 
-    labels: tuple[str, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if not 1 <= len(self.labels) <= 16:
-            raise IvbelError(f"frame must have 1..16 elements, got {len(self.labels)}")
+    def __init__(self, labels: Iterable[str]) -> None:
+        labels = tuple(labels)
+        if not 1 <= len(labels) <= 16:
+            raise IvbelError(f"frame must have 1..16 elements, got {len(labels)}")
         seen: set[str] = set()
-        for label in self.labels:
+        for label in labels:
             if not isinstance(label, str) or not label:
                 raise IvbelError(f"frame labels must be non-empty strings, got {label!r}")
             if label in seen:
                 raise IvbelError(f"duplicate label {label!r} in frame")
             seen.add(label)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
@@ -226,23 +275,20 @@ def _canonical_interval_entries(
     return tuple(out)
 
 
-# A subclass that adds no fields is not decorated again: it inherits the
-# generated __init__, __eq__ (same class only), __hash__ and __repr__ (its own
-# class name), and the refusal to reassign a field.
-@dataclass(frozen=True)
-class _Entries:
+class _Entries(_Frozen):
     """Distinct non-empty focal sets of one frame, each followed by its
     values (a mass, or ``lo, hi`` bounds), in canonical order (ascending bit
     value).  A subclass sets ``_canonical`` to the function that checks,
     merges and sorts its raw entries."""
 
-    frame: Frame
-    entries: tuple[tuple, ...]
+    _fields = ("frame", "entries")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", self._canonical(self.entries))
-        for entry in self.entries:
-            self.frame._check_subset(entry[0])
+    def __init__(self, frame: Frame, entries: Iterable[tuple]) -> None:
+        entries = self._canonical(entries)
+        for entry in entries:
+            frame._check_subset(entry[0])
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "entries", entries)
 
     @cached_property
     def _lookup(self) -> dict[int, tuple]:
@@ -266,8 +312,8 @@ class Bpa(_Entries):
 
     _canonical = staticmethod(_canonical_mass_entries)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, frame: Frame, entries: Iterable[tuple[FocalSet, float]]) -> None:
+        super().__init__(frame, entries)
         if not self.entries:
             raise IvbelError("BPA must have at least one focal set with positive mass")
         total = math.fsum(mass for _, mass in self.entries)
@@ -314,8 +360,8 @@ class IntervalBeliefStructure(_IntervalEntries):
     answered by :func:`validate_ibs`.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, frame: Frame, entries: Iterable[tuple[FocalSet, float, float]]) -> None:
+        super().__init__(frame, entries)
         if not self.entries:
             raise IvbelError("interval structure must have at least one focal set")
 
@@ -331,7 +377,6 @@ class IntervalBeliefStructure(_IntervalEntries):
         )
 
 
-@dataclass(frozen=True)
 class IntervalMassResult(_IntervalEntries):
     """Combined evidence as per-focal-set intervals.
 
@@ -343,18 +388,24 @@ class IntervalMassResult(_IntervalEntries):
     still await a normalization step.
     """
 
-    includes_empty: tuple[float, float] | None = None
-    normalized: bool = True
+    _fields = ("frame", "entries", "includes_empty", "normalized")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        flag = self.normalized and bool(self.entries) and is_normalized(self)
-        object.__setattr__(self, "normalized", flag)
-        if self.includes_empty is not None:
-            lo, hi = self.includes_empty
+    def __init__(
+        self,
+        frame: Frame,
+        entries: Iterable[tuple[FocalSet, float, float]],
+        includes_empty: tuple[float, float] | None = None,
+        normalized: bool = True,
+    ) -> None:
+        super().__init__(frame, entries)
+        if includes_empty is not None:
+            lo, hi = includes_empty
             if not 0.0 <= lo <= hi <= 1.0:
                 raise IvbelError(f"empty-set interval [{lo}, {hi}] out of range")
-            object.__setattr__(self, "includes_empty", (float(lo), float(hi)))
+            includes_empty = (float(lo), float(hi))
+        object.__setattr__(self, "includes_empty", includes_empty)
+        flag = normalized and bool(self.entries) and is_normalized(self)
+        object.__setattr__(self, "normalized", flag)
 
     def as_ibs(self) -> IntervalBeliefStructure:
         """Reinterpret the non-empty entries as an interval belief structure."""
@@ -366,9 +417,9 @@ def _check_same_frame(bodies: Iterable[_Entries]) -> None:
         raise IvbelError("bodies must share one frame")
 
 
-@dataclass(frozen=True)
-class ValidityVerdict:
-    """Why a structure admits no BPA, or ``None`` when it admits one."""
+class ValidityVerdict(NamedTuple):
+    """Why a structure admits no BPA, or ``None`` when it admits one; true
+    exactly when it admits one."""
 
     reason: str | None = None
 

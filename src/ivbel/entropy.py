@@ -11,10 +11,9 @@ interval-valued structures; the others can only be evaluated pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import Bpa, FocalSet, Frame, IvbelError, bel, pl, plausibility_transform
+from .core import Bpa, FocalSet, Frame, IvbelError, _Frozen, bel, pl, plausibility_transform
 
 __all__ = [
     "EntropyMeasure",
@@ -32,8 +31,7 @@ def _xlog2(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class EntropyMeasure:
+class EntropyMeasure(_Frozen):
     """A named uncertainty measure.
 
     A separable measure has a ``weight(a, frame)`` giving ``k_A``, and
@@ -42,16 +40,23 @@ class EntropyMeasure:
     a direct evaluator instead.
     """
 
-    id: str
-    beta: float = 0.0
-    weight: Callable[[FocalSet, Frame], float] | None = None
-    evaluate: Callable[[Bpa], float] | None = None
+    _fields = ("id", "beta", "weight", "evaluate")
 
-    def __post_init__(self) -> None:
-        if self.weight is None and self.evaluate is None:
-            raise IvbelError(f"measure {self.id!r} needs a weight or an evaluator")
-        if self.weight is not None and not 0.0 <= self.beta < math.inf:
-            raise IvbelError(f"measure {self.id!r} needs a finite beta >= 0, got {self.beta}")
+    def __init__(
+        self,
+        id: str,
+        beta: float = 0.0,
+        weight: Callable[[FocalSet, Frame], float] | None = None,
+        evaluate: Callable[[Bpa], float] | None = None,
+    ) -> None:
+        if weight is None and evaluate is None:
+            raise IvbelError(f"measure {id!r} needs a weight or an evaluator")
+        if weight is not None and not 0.0 <= beta < math.inf:
+            raise IvbelError(f"measure {id!r} needs a finite beta >= 0, got {beta}")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "evaluate", evaluate)
 
     @property
     def separable(self) -> bool:

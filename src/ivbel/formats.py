@@ -25,9 +25,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .core import (
     FocalSet,
@@ -40,6 +39,7 @@ from .core import (
 
 __all__ = [
     "FORMAT_VERSION",
+    "REPRODUCE_TARGETS",
     "EvidenceFile",
     "parse_evidence",
     "load_evidence",
@@ -53,9 +53,12 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+# The targets of :func:`ivbel.reproduce.reproduce`, named here so that the
+# command line can offer them without loading the engines they run.
+REPRODUCE_TARGETS = ("table2", "table3", "table4", "example4", "example32", "example33")
 
-@dataclass(frozen=True)
-class EvidenceFile:
+
+class EvidenceFile(NamedTuple):
     """A frame plus one or more named interval-valued bodies of evidence."""
 
     frame: Frame

@@ -10,8 +10,7 @@ interval spanned by its two folded masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     MASS_DROP_EPS,
@@ -35,8 +34,7 @@ __all__ = [
     "proposed_combine_report",
 ]
 
-@dataclass(frozen=True)
-class CombinationReport:
+class CombinationReport(NamedTuple):
     """A combination result together with its audit trail; ``conflicts``
     holds the cumulative conflict K of the max fold and of the min fold."""
 

@@ -18,9 +18,9 @@ bounds over the feasible polytope are computed exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import MASS_SUM_TOL, Bpa, IntervalBeliefStructure, IvbelError, is_normalized
 from .entropy import EntropyMeasure, entropy_from_profile, measure, separable_profile
@@ -38,8 +38,7 @@ __all__ = [
 _INVERSION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EntropyBoundsSolution:
+class EntropyBoundsSolution(NamedTuple):
     """Entropy bounds with the witnessing assignments.
 
     ``m_min`` is the lexicographically first polytope vertex whose entropy

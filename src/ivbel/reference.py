@@ -19,8 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     MASS_DROP_EPS,
@@ -32,6 +31,7 @@ from .core import (
     NormalizationError,
     TotalConflictError,
     _check_bodies,
+    _Frozen,
     _pignistic_sums,
     normalize,
 )
@@ -255,24 +255,23 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
 # Song (intuitionistic route)
 
 
-@dataclass(frozen=True)
-class IfsElement:
+class IfsElement(_Frozen):
     """An intuitionistic assessment of one singleton: membership ``mu``,
     non-membership ``gamma``, hesitancy ``pi = 1 - mu - gamma``."""
 
-    target: FocalSet
-    mu: float
-    gamma: float
+    _fields = ("target", "mu", "gamma")
 
-    def __post_init__(self) -> None:
-        if self.target.cardinality != 1:
+    def __init__(self, target: FocalSet, mu: float, gamma: float) -> None:
+        if target.cardinality != 1:
             raise IvbelError("IFS element target must be a singleton")
-        mu, gamma = self.mu, self.gamma
         if min(mu, gamma) < -MASS_DROP_EPS or mu + gamma > 1.0 + MASS_SUM_TOL:
             raise IvbelError(
                 f"IFS element requires mu, gamma >= 0 and mu + gamma <= 1, "
                 f"got mu={mu}, gamma={gamma}"
             )
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def pi(self) -> float:
@@ -312,8 +311,7 @@ def interval_pignistic(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
     return normalize(IntervalBeliefStructure(frame, entries))
 
 
-@dataclass(frozen=True)
-class SongStages:
+class SongStages(NamedTuple):
     """Audit trail of the Song pipeline."""
 
     normalized_bodies: tuple[IntervalBeliefStructure, ...]

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .core import MASS_DROP_EPS, MASS_SUM_TOL, Bpa, normalize
 from .entropy import SEPARABLE_MEASURE_IDS
+from .formats import REPRODUCE_TARGETS as TARGETS
 from .formats import EvidenceFile, parse_evidence
 from .fusion import dempster_combine, proposed_combine_report
 from .reference import (
@@ -35,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     """One expected-vs-computed comparison at a stated tolerance."""
 
     target: str
@@ -66,8 +66,7 @@ class CellCheck:
         )
 
 
-@dataclass(frozen=True)
-class AssertionCheck:
+class AssertionCheck(NamedTuple):
     """A non-numeric structural check attached to a target."""
 
     label: str
@@ -80,8 +79,7 @@ class AssertionCheck:
         return f"  [{status}] {self.label}{tail}"
 
 
-@dataclass(frozen=True)
-class TargetReport:
+class TargetReport(NamedTuple):
     target: str
     cells: tuple[CellCheck, ...]
     assertions: tuple[AssertionCheck, ...] = ()
@@ -453,22 +451,10 @@ def reproduce_example33() -> TargetReport:
     return TargetReport("example33", tuple(cells), assertions, notes)
 
 
-_DISPATCH = {
-    "table2": reproduce_table2,
-    "table3": reproduce_table3,
-    "table4": reproduce_table4,
-    "example4": reproduce_example4,
-    "example32": reproduce_example32,
-    "example33": reproduce_example33,
-}
-TARGETS = tuple(_DISPATCH)
-
-
 def reproduce(target: str) -> TargetReport:
-    try:
-        fn = _DISPATCH[target]
-    except KeyError:
+    """Run one target: ``reproduce_<target>()`` for a name in :data:`TARGETS`."""
+    if target not in TARGETS:
         raise ValueError(
             f"unknown reproduce target {target!r}; expected one of {', '.join(TARGETS)}"
-        ) from None
-    return fn()
+        )
+    return globals()[f"reproduce_{target}"]()

@@ -179,7 +179,8 @@ class TestFormatContract:
             raise AssertionError(f"{command} ran with --format {fmt}")
 
         monkeypatch.setattr(cli, "load_evidence", reached)
-        monkeypatch.setattr(cli, "reproduce", reached)
+        # cmd_reproduce imports reproduce when it runs, so patch its module.
+        monkeypatch.setattr("ivbel.reproduce.reproduce", reached)
         with pytest.raises(SystemExit) as exc:
             main([*_command_argv(command), "--format", fmt])
         assert exc.value.code == 2

@@ -1,6 +1,5 @@
 """Frames, focal sets, BPAs, interval structures, and normalization."""
 
-import dataclasses
 import math
 import random
 import subprocess
@@ -261,20 +260,28 @@ class TestIntervalStructure:
         ids=["bpa", "body", "result"],
     )
     def test_containers_keep_the_generated_methods(self, cls, other, values):
-        # Bpa and IntervalBeliefStructure inherit _Entries' generated methods
-        # without being decorated again; IntervalMassResult adds fields.
+        # Bpa and IntervalBeliefStructure inherit _Entries' methods;
+        # IntervalMassResult adds fields.
         sets = (FRAME.singleton("A"), FRAME.subset(("B", "C")))
         entries = tuple((fs, *v) for fs, v in zip(sets, values))
         a, b = cls(FRAME, entries), cls(FRAME, entries)
         assert a == b and hash(a) == hash(b)
         assert a != other(FRAME, entries)
-        assert repr(a).startswith(cls.__name__ + "(frame=")
-        extra = ["includes_empty", "normalized"] if cls is IntervalMassResult else []
-        assert [f.name for f in dataclasses.fields(a)] == ["frame", "entries", *extra]
-        copy = dataclasses.replace(a, frame=Frame(FRAME.labels))
+        extra = ("includes_empty", "normalized") if cls is IntervalMassResult else ()
+        fields = ("frame", "entries", *extra)
+        assert a._fields == fields and hash(a) == hash(tuple(getattr(a, f) for f in fields))
+        shown = ", ".join(f"{f}={getattr(a, f)!r}" for f in fields)
+        assert repr(a) == f"{cls.__name__}({shown})"
+        copy = cls(Frame(FRAME.labels), *(getattr(a, f) for f in fields[1:]))
         assert type(copy) is cls and copy == a
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="frozen"):
             a.entries = ()
+        # Not a field either: no attribute may be added or removed.
+        with pytest.raises(AttributeError, match="frozen"):
+            a.note = 1
+        with pytest.raises(AttributeError, match="frozen"):
+            del a.frame
+        assert a == b and not hasattr(a, "note")
 
     def test_bound_order_enforced(self):
         with pytest.raises(IvbelError, match="violates"):

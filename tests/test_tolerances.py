@@ -79,7 +79,7 @@ def test_total_conflict_has_one_owner():
         for module in ("fusion.py", "reference.py")
         for reader in _readers(SRC / module, "MASS_DROP_EPS")
     }
-    assert readers == {"fusion.py:_total_conflict", "reference.py:IfsElement.__post_init__"}
+    assert readers == {"fusion.py:_total_conflict", "reference.py:IfsElement.__init__"}
 
 
 def test_reproduce_reads_core_tolerances():
