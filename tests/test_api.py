@@ -1,6 +1,8 @@
-"""The package's public surface: its values travel through pickle and copy."""
+"""The package's public surface: its names, and values that travel through
+pickle and copy but refuse any change."""
 
 import copy
+import importlib
 import pickle
 
 import pytest
@@ -16,6 +18,8 @@ from ivbel import (
     measure,
 )
 from ivbel.reproduce import reproduce
+
+MODULES = ("core", "entropy", "formats", "fusion", "optimize", "polytope", "reference")
 
 FRAME = Frame(("A", "B", "C"))
 BPA = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})
@@ -62,3 +66,31 @@ def test_values_survive_pickle_and_copy(clone, value):
     assert twin == value and hash(twin) == hash(value)
     assert repr(twin) == repr(value)
 
+
+@pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
+def test_values_refuse_any_attribute_change(value):
+    # Named tuples and the validated types both list their fields in _fields.
+    field = value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.note = 1
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert not hasattr(value, "note")
+
+
+def test_public_names_resolve_to_their_defining_module():
+    owners = {}
+    for module in MODULES:
+        for name in importlib.import_module(f"ivbel.{module}").__all__:
+            owners.setdefault(name, []).append(module)
+    for name in ivbel.__all__:
+        (module,) = owners[name]
+        assert getattr(ivbel, name) is getattr(importlib.import_module(f"ivbel.{module}"), name)
+    assert set(ivbel.__all__) <= set(dir(ivbel))
+    star: dict = {}
+    exec("from ivbel import *", star)
+    assert all(star[name] is getattr(ivbel, name) for name in ivbel.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ivbel.no_such_name

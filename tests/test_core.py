@@ -487,11 +487,45 @@ class TestNormalization:
         assert degenerate_bpa(from_bpa(b)).entries == b.entries
 
 
-def test_import_does_not_load_numpy():
-    """numpy is a test dependency only; the package must import without it."""
+# Run in a fresh interpreter, on one evidence file: each step names the
+# modules it must leave unloaded.
+_IMPORT_BOUNDARIES = """
+import contextlib, io, sys
+
+
+def unloaded(*names):
+    loaded = [name for name in names if name in sys.modules]
+    assert not loaded, loaded
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ivbel.cli.main([*argv, sys.argv[1]]) == 0
+
+
+import ivbel
+import ivbel.cli
+
+unloaded("numpy", "dataclasses", "inspect")
+run("validate")
+run("normalize")
+unloaded(*(f"ivbel.{m}" for m in ("fusion", "optimize", "polytope", "reference", "reproduce")))
+from ivbel import polytope  # not a public name: the submodule
+
+assert polytope is sys.modules["ivbel.polytope"]
+run("entropy")
+unloaded("ivbel.fusion", "ivbel.reference", "ivbel.reproduce")
+assert ivbel.entropy is sys.modules["ivbel.entropy"].entropy
+"""
+
+
+def test_imports_load_only_what_runs():
+    """numpy is a test dependency only, and the package loads neither
+    ``dataclasses`` nor an engine module that a command does not run."""
     src = Path(ivbel.__file__).resolve().parents[1]
+    data = src / "ivbel" / "data" / "example4.json"
     subprocess.run(
-        [sys.executable, "-c", "import ivbel, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", _IMPORT_BOUNDARIES, str(data)],
         check=True,
         env={"PYTHONPATH": str(src)},
     )
