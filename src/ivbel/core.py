@@ -245,8 +245,8 @@ def _canonical_mass_entries(
     out = []
     for bits in sorted(merged):
         mass = merged[bits]
-        if mass < -MASS_DROP_EPS:
-            raise IvbelError(f"negative mass {mass} for focal set {bits:#x}")
+        if not mass >= -MASS_DROP_EPS:
+            raise IvbelError(f"negative or NaN mass {mass} for focal set {bits:#x}")
         if mass <= MASS_DROP_EPS:
             continue
         out.append((sets[bits], mass))
@@ -317,7 +317,7 @@ class Bpa(_Entries):
         if not self.entries:
             raise IvbelError("BPA must have at least one focal set with positive mass")
         total = math.fsum(mass for _, mass in self.entries)
-        if abs(total - 1.0) > MASS_SUM_TOL:
+        if not abs(total - 1.0) <= MASS_SUM_TOL:
             raise IvbelError(f"BPA masses must sum to 1 within {MASS_SUM_TOL}, got {total!r}")
 
     @classmethod

@@ -264,7 +264,8 @@ class IfsElement(_Frozen):
     def __init__(self, target: FocalSet, mu: float, gamma: float) -> None:
         if target.cardinality != 1:
             raise IvbelError("IFS element target must be a singleton")
-        if min(mu, gamma) < -MASS_DROP_EPS or mu + gamma > 1.0 + MASS_SUM_TOL:
+        # A NaN field makes the sum NaN, which fails the second comparison.
+        if not (min(mu, gamma) >= -MASS_DROP_EPS and mu + gamma <= 1.0 + MASS_SUM_TOL):
             raise IvbelError(
                 f"IFS element requires mu, gamma >= 0 and mu + gamma <= 1, "
                 f"got mu={mu}, gamma={gamma}"

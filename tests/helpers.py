@@ -1,15 +1,16 @@
-"""Seeded random generators, the brute-force vertex and lattice entropy
-oracles, and earlier forms of rewritten kernels, shared by the unit and
-acceptance suites."""
+"""Seeded random generators, the brute-force vertex oracle, exact oracles
+for the entropy bounds (a weak-duality certificate for the maximum, the
+least vertex value for the minimum), and earlier forms of rewritten kernels,
+shared by the unit and acceptance suites.  Pure Python: no numpy."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from bisect import bisect_left
-
-import numpy as np
+from collections.abc import Iterable
 
 from ivbel import (
     Bpa,
@@ -20,8 +21,8 @@ from ivbel import (
     IntervalMassResult,
     IvbelError,
     TotalConflictError,
+    entropy_bounds,
     enumerate_vertices,
-    measure,
     normalize,
 )
 from ivbel.core import MASS_SUM_TOL, _check_bodies
@@ -101,8 +102,9 @@ def random_aligned_ibs(
 ) -> IntervalBeliefStructure:
     """Valid structure over singletons + full set with step-aligned bounds.
 
-    Tightening preserves the alignment, so the exact polytope vertices fall on
-    the lattice a grid scan visits; widths are capped to keep that scan small.
+    Bounds on a coarse lattice often coincide across focal sets and after
+    tightening, so vertices repeat and entropy values tie; widths run from
+    0.05 to 0.2.
     """
     units = round(1.0 / step)
     sets = [FRAME3.subset(s) for s in (("X",), ("Y",), ("Z",))] + [FRAME3.full_set]
@@ -186,9 +188,9 @@ def random_aligned_general_ibs(
 ) -> IntervalBeliefStructure:
     """Valid structure over arbitrary focal sets with step-aligned bounds.
 
-    Alignment makes every polytope vertex a lattice point (bounds and their
-    residuals stay multiples of ``step`` through tightening), so a grid scan
-    of the same step can attain the exact extrema.
+    Bounds and their residuals stay multiples of ``step`` through
+    tightening, so bounds often coincide, and vertices and entropy values
+    tie, as they do on hand-written bodies.
     """
     subsets = [FRAME3.subset(s) for s in ALL_SUBSETS3]
     units = round(1.0 / step)
@@ -275,73 +277,81 @@ def brute_force_ties(
     return tuple(v for v, h in zip(vertices, values) if h <= floor)
 
 
-_GRID_MAX_SETS = 5
-_GRID_MAX_POINTS = 3_000_000
+def _best_response(lo: float, hi: float, k: float, beta: float, lam: float) -> float:
+    """The m in [lo, hi] that maximizes the concave ``m*(k - lam) - beta*m*log2(m)``:
+    the better endpoint when ``beta = 0``, else the stationary point
+    ``2**((k - lam)/beta - 1/ln 2)`` clamped to the box.  The exponent is
+    compared with ``log2`` of the bounds first, so ``2.0**e`` cannot overflow."""
+    if beta == 0.0:
+        return hi if k > lam else lo
+    e = (k - lam) / beta - 1.0 / math.log(2.0)
+    if hi <= 0.0 or e >= math.log2(hi):
+        return hi
+    if lo > 0.0 and e <= math.log2(lo):
+        return lo
+    return 2.0**e
 
 
-def _lattice_points(
-    lower: tuple[float, ...], upper: tuple[float, ...], step: float
-) -> np.ndarray:
-    """Integer-lattice approximation of the feasible polytope.
+def max_certificate(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> float:
+    """The least weak-duality bound on the maximum of a separable measure.
 
-    Enumerates all mass vectors whose coordinates are multiples of ``step``
-    within the bounds and sum to one (up to rounding of ``1/step``).
+    For every price ``lam``, ``lam + sum_i max_{m_i in [lo_i, hi_i]} (m_i*k_i
+    - beta_i*m_i*log2(m_i) - lam*m_i)`` bounds the maximum over the polytope
+    from above (Boyd & Vandenberghe 2004, section 5), and the least such
+    bound equals it.  The bound is convex in ``lam``; a golden-section search
+    minimizes it on a bracket that holds every price of a mass above
+    ``2**-80``.  Independent of the water-fill and greedy solvers.
     """
-    units = round(1.0 / step)
-    los = [math.ceil(lo / step - 1e-9) for lo in lower]
-    his = [math.floor(hi / step + 1e-9) for hi in upper]
-    if any(l > h for l, h in zip(los, his)):
-        raise IvbelError("grid oracle: a bound interval contains no lattice point")
+    profile = separable_profile(m, ibs.focal_sets, ibs.frame)
+    boxes = tuple(zip(ibs.lower_bounds, ibs.upper_bounds, profile))
 
-    suffix_lo = [0] * (len(lower) + 1)
-    suffix_hi = [0] * (len(lower) + 1)
-    for i in range(len(lower) - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + los[i]
-        suffix_hi[i] = suffix_hi[i + 1] + his[i]
+    def dual(lam: float) -> float:
+        terms = [lam]
+        for lo, hi, (k, beta) in boxes:
+            x = _best_response(lo, hi, k, beta, lam)
+            terms.append(x * k - beta * _xlog2(x) - lam * x)
+        return math.fsum(terms)
 
-    # Partial sums grow coordinate by coordinate; prune rows that can no
-    # longer reach the target total.
-    rows = np.zeros((1, 0), dtype=np.int64)
-    sums = np.zeros(1, dtype=np.int64)
-    for i in range(len(lower)):
-        values = np.arange(los[i], his[i] + 1, dtype=np.int64)
-        if rows.shape[0] * len(values) > _GRID_MAX_POINTS:
-            raise IvbelError("grid oracle: too many lattice points; coarsen the step")
-        new_rows = np.repeat(rows, len(values), axis=0)
-        new_vals = np.tile(values, rows.shape[0])
-        new_sums = np.repeat(sums, len(values)) + new_vals
-        ok = (new_sums + suffix_lo[i + 1] <= units) & (
-            new_sums + suffix_hi[i + 1] >= units
-        )
-        rows = np.column_stack([new_rows[ok], new_vals[ok]])
-        sums = new_sums[ok]
-        if rows.shape[0] == 0:
-            raise IvbelError("grid oracle: no lattice point sums to one")
-    return rows[sums == units] * step
+    reach = 80.0 * (max(beta for _, beta in profile) + 1.0)
+    a = min(k for k, _ in profile) - reach
+    b = max(k for k, _ in profile) + reach
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    gc, gd = dual(c), dual(d)
+    # 100 steps shrink the bracket below the float spacing of the prices.
+    for _ in range(100):
+        if gc <= gd:
+            b, d, gd = d, c, gc
+            c = b - shrink * (b - a)
+            gc = dual(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + shrink * (b - a)
+            gd = dual(d)
+    return min(gc, gd)
 
 
-def grid_oracle(
-    ibs: IntervalBeliefStructure, m: str | EntropyMeasure, step: float = 0.005
-) -> tuple[float, float]:
-    """Brute-force entropy bounds over a lattice scan of the polytope.
+# Every measure scans the same vertices of a body: enumerate them once.
+_body_vertices = functools.lru_cache(maxsize=16)(brute_force_vertices)
 
-    Test oracle only: exact up to the lattice resolution, and limited to
-    structures with at most 5 focal sets.
-    """
-    if len(ibs.entries) > _GRID_MAX_SETS:
-        raise IvbelError(
-            f"grid oracle limited to {_GRID_MAX_SETS} focal sets, got {len(ibs.entries)}"
-        )
-    meas = measure(m)
-    profile = separable_profile(meas, ibs.focal_sets, ibs.frame)
-    points = _lattice_points(ibs.lower_bounds, ibs.upper_bounds, step)
-    ks = np.array([k for k, _ in profile])
-    betas = np.array([b for _, b in profile])
-    logs = np.zeros_like(points)
-    mask = points > 0.0
-    logs[mask] = points[mask] * np.log2(points[mask])
-    values = points @ ks - logs @ betas
-    return float(values.min()), float(values.max())
+
+def vertex_min(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> float:
+    """The minimum of a separable (so concave) measure: its least value over
+    :func:`brute_force_vertices`."""
+    profile = separable_profile(m, ibs.focal_sets, ibs.frame)
+    return min(entropy_from_profile(v, profile) for v in _body_vertices(ibs))
+
+
+def assert_oracle_bounds(
+    ibs: IntervalBeliefStructure, measures: Iterable[str | EntropyMeasure]
+) -> None:
+    """:func:`ivbel.entropy_bounds` equals both oracles within 1e-12 for each
+    measure.  Two-sided: the witnesses sum to one only within rounding, so
+    the certificate may read a few ulps below ``h_max``."""
+    for m in measures:
+        sol = entropy_bounds(ibs, m)
+        assert abs(max_certificate(ibs, m) - sol.h_max) <= 1e-12, (ibs, m, sol.h_max)
+        assert abs(vertex_min(ibs, m) - sol.h_min) <= 1e-12, (ibs, m, sol.h_min)
 
 
 # The FocalSet-level forms of the bit-pattern kernels in ``ivbel.core`` and

@@ -143,8 +143,10 @@ class TestBpa:
             Bpa.from_mapping(FRAME, {("A",): 0.5, ("B",): 0.4})
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(IvbelError, match="negative mass"):
+        with pytest.raises(IvbelError, match="negative or NaN mass -0.1 for focal set 0x2"):
             Bpa.from_mapping(FRAME, {("A",): 1.1, ("B",): -0.1})
+        with pytest.raises(IvbelError, match="negative or NaN mass nan for focal set 0x1"):
+            Bpa(FRAME, ((FocalSet(1), math.nan), (FocalSet(2), 1.0)))
 
     def test_empty_set_rejected(self):
         with pytest.raises(IvbelError, match="empty set"):
@@ -520,8 +522,9 @@ assert ivbel.entropy is sys.modules["ivbel.entropy"].entropy
 
 
 def test_imports_load_only_what_runs():
-    """numpy is a test dependency only, and the package loads neither
-    ``dataclasses`` nor an engine module that a command does not run."""
+    """The package loads neither numpy (no module in it or in the tests
+    imports numpy), ``dataclasses`` nor an engine module that a command
+    does not run."""
     src = Path(ivbel.__file__).resolve().parents[1]
     data = src / "ivbel" / "data" / "example4.json"
     subprocess.run(

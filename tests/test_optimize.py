@@ -31,14 +31,16 @@ from ivbel.reproduce import load_bundled
 
 from helpers import (
     FRAME3,
+    assert_oracle_bounds,
     brute_force_ties,
     equal_boxes,
-    grid_oracle,
+    max_certificate,
     random_aligned_ibs,
     random_box_ibs,
     random_normalized_ibs,
     random_point_in,
     random_valid_ibs,
+    vertex_min,
     water_fill_oracle,
 )
 
@@ -241,38 +243,25 @@ class TestBounds:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
-    def test_grid_oracle_agreement(self, seed):
-        rng = random.Random(seed)
-        ibs = normalize(random_aligned_ibs(rng, step=0.01))
-        for mid in SEPARABLE_MEASURE_IDS + CUSTOM_BETA:
-            sol = entropy_bounds(ibs, mid)
-            g_min, g_max = grid_oracle(ibs, mid, step=0.01)
-            # The lattice subsamples the polytope, so the scan can only
-            # shrink the range; alignment keeps the loss tiny.
-            assert g_min >= sol.h_min - 1e-9
-            assert g_max <= sol.h_max + 1e-9
-            assert abs(g_max - sol.h_max) < 2e-3
-            assert abs(g_min - sol.h_min) < 2e-3
-
+    def test_exact_oracle_agreement(self, seed):
+        ibs = normalize(random_aligned_ibs(random.Random(seed), step=0.01))
+        assert_oracle_bounds(ibs, SEPARABLE_MEASURE_IDS + CUSTOM_BETA)
 
     @pytest.mark.parametrize(
-        "beta, m_max, step",
-        [(0.5, (16 / 17, 1 / 17), 1 / 340), (2.0, (2 / 3, 1 / 3), 1 / 300)],
+        "beta, m_max",
+        [(0.5, (16 / 17, 1 / 17)), (2.0, (2 / 3, 1 / 3))],
         ids=["beta-0.5", "beta-2"],
     )
-    def test_custom_beta_maximum(self, beta, m_max, step):
+    def test_custom_beta_maximum(self, beta, m_max):
         # With k = (2, 0) on [0, 1] boxes the maximum sits where the masses
-        # are in ratio 2**(2/beta) : 1, a point of the lattice scanned.
+        # are in ratio 2**(2/beta) : 1.
         ibs = IntervalBeliefStructure.from_mapping(
             Frame(("a", "b")), {("a",): (0.0, 1.0), ("b",): (0.0, 1.0)}
         )
         meas = EntropyMeasure("b", beta=beta, weight=lambda a, f: 2.0 if a.bits == 1 else 0.0)
         sol = entropy_bounds(ibs, meas)
         assert tuple(m for _, m in sol.m_max.entries) == pytest.approx(m_max, abs=1e-15)
-        assert (sol.h_min, sol.h_max) == pytest.approx(
-            grid_oracle(ibs, meas, step=step), abs=1e-12
-        )
-
+        assert_oracle_bounds(ibs, (meas,))
 
     @pytest.mark.parametrize(
         "k, beta, match",
@@ -297,26 +286,16 @@ class TestBounds:
             entropy_bounds(ibs, meas)
 
 
-class TestGridOracle:
-    def test_refuses_many_sets(self):
-        frame = Frame(("A", "B", "C", "D", "E", "F"))
-        ibs = IntervalBeliefStructure.from_mapping(
-            frame, {(l,): (0.0, 1.0) for l in frame.labels}
-        )
-        with pytest.raises(IvbelError, match="limited to 5 focal sets"):
-            grid_oracle(ibs, "deng")
-
-    def test_exact_on_lattice_aligned_segment(self):
-        frame = Frame(("A", "B"))
-        ibs = IntervalBeliefStructure.from_mapping(
-            frame, {("A",): (0.25, 0.75), ("B",): (0.25, 0.75)}
-        )
-        g_min, g_max = grid_oracle(ibs, "nguyen", step=0.25)
-        # Lattice points: (0.25,0.75), (0.5,0.5), (0.75,0.25).
-        assert g_max == pytest.approx(1.0, abs=1e-12)
-        assert g_min == pytest.approx(
-            -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75)), abs=1e-12
-        )
+def test_oracles_on_a_hand_valued_segment():
+    # Shannon entropy on {0.25 <= m_A, m_B <= 0.75}: highest at (0.5, 0.5),
+    # lowest at the ends.
+    ibs = IntervalBeliefStructure.from_mapping(
+        Frame(("A", "B")), {("A",): (0.25, 0.75), ("B",): (0.25, 0.75)}
+    )
+    assert max_certificate(ibs, "nguyen") == pytest.approx(1.0, abs=1e-12)
+    assert vertex_min(ibs, "nguyen") == pytest.approx(
+        -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75)), abs=1e-12
+    )
 
 
 def _unit_boxes(n):

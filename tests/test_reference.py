@@ -468,8 +468,9 @@ class TestIfs:
     def test_element_validation(self):
         with pytest.raises(IvbelError, match="must be a singleton"):
             IfsElement(FRAME.subset(("A", "B")), 0.5, 0.3)
-        with pytest.raises(IvbelError, match="mu \\+ gamma <= 1"):
-            IfsElement(FRAME.singleton("A"), 0.7, 0.4)
+        for mu, gamma in [(0.7, 0.4), (math.nan, 0.2), (0.2, math.nan)]:
+            with pytest.raises(IvbelError, match=f"mu \\+ gamma <= 1, got mu={mu}, gamma={gamma}"):
+                IfsElement(FRAME.singleton("A"), mu, gamma)
         assert IfsElement(FRAME.singleton("A"), 0.7, 0.3).pi == pytest.approx(
             0.0, abs=1e-12
         )

@@ -1,4 +1,6 @@
-"""Every module parses under the oldest Python that pyproject.toml declares."""
+"""Every module parses under the oldest Python that pyproject.toml declares,
+and none imports numpy: the package and its tests need only the standard
+library, pytest and hypothesis."""
 
 import ast
 import re
@@ -21,4 +23,12 @@ def test_parses_under_the_oldest_supported_python(path):
     # feature_version rejects grammar newer than that version, such as
     # except* (3.11) or type parameter lists (3.12); it does not catch a
     # call into a newer standard library.
-    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_oldest_python())
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_oldest_python())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "numpy" for name in names), (path, node.lineno)
