@@ -30,9 +30,8 @@ _EXPORTS = {
     "core": (
         "EMPTY_SET", "Bpa", "FocalSet", "Frame", "IntervalBeliefStructure",
         "IntervalMassResult", "IvbelError", "NormalizationError", "SchemaError",
-        "TotalConflictError", "ValidityVerdict", "bel", "degenerate_bpa", "from_bpa",
-        "is_normalized", "normalize", "pignistic", "pl", "plausibility_transform",
-        "validate_ibs",
+        "TotalConflictError", "ValidityVerdict", "bel", "degenerate_bpa", "is_normalized",
+        "normalize", "pignistic", "pl", "plausibility_transform", "validate_ibs",
     ),
     "entropy": ("MEASURE_IDS", "SEPARABLE_MEASURE_IDS", "EntropyMeasure", "entropy", "measure"),
     "formats": (
@@ -40,10 +39,9 @@ _EXPORTS = {
         "result_from_json", "result_to_json",
     ),
     "fusion": (
-        "CombinationReport", "dempster_combine", "dempster_combine_n", "proposed_combine",
-        "proposed_combine_report",
+        "CombinationReport", "dempster_combine", "dempster_combine_n", "proposed_combine_report",
     ),
-    "optimize": ("EntropyBoundsSolution", "entropy_bounds", "max_entropy_bpa", "min_entropy_bpa"),
+    "optimize": ("EntropyBoundsSolution", "entropy_bounds", "max_entropy_bpa"),
     "polytope": ("contains", "enumerate_vertices"),
     "reference": (
         "IfsElement", "SongStages", "denoeux_combine", "denoeux_normalize", "ifs_combine",

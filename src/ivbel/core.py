@@ -33,7 +33,6 @@ __all__ = [
     "normalize",
     "normalization_steps",
     "degenerate_bpa",
-    "from_bpa",
     "bel",
     "pl",
     "pignistic",
@@ -559,15 +558,17 @@ def normalize(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
 
 
 def degenerate_bpa(ibs: IntervalBeliefStructure) -> Bpa:
-    """Collapse a zero-width structure to the BPA it denotes."""
+    """Collapse a zero-width structure to the BPA it denotes: the interval
+    midpoints, or, when those miss a unit total on a valid structure, the
+    point ``lo + t * (hi - lo)`` in the box that sums to one."""
     if not ibs.is_degenerate():
         raise IvbelError("structure has non-degenerate intervals")
-    return Bpa(ibs.frame, tuple((fs, (lo + hi) / 2.0) for fs, lo, hi in ibs.entries))
-
-
-def from_bpa(b: Bpa) -> IntervalBeliefStructure:
-    """Embed a BPA as a zero-width interval structure."""
-    return IntervalBeliefStructure(b.frame, tuple((fs, m, m) for fs, m in b.entries))
+    masses = [(lo + hi) / 2.0 for _, lo, hi in ibs.entries]
+    if abs(math.fsum(masses) - 1.0) > MASS_SUM_TOL and validate_ibs(ibs):
+        sum_lo = math.fsum(ibs.lower_bounds)
+        t = min(max((1.0 - sum_lo) / (math.fsum(ibs.upper_bounds) - sum_lo), 0.0), 1.0)
+        masses = [lo + t * (hi - lo) for _, lo, hi in ibs.entries]
+    return Bpa(ibs.frame, tuple(zip(ibs.focal_sets, masses)))
 
 
 def bel(b: Bpa, a: FocalSet) -> float:

@@ -62,9 +62,6 @@ class EntropyMeasure(_Frozen):
     def separable(self) -> bool:
         return self.weight is not None
 
-    def __call__(self, b: Bpa) -> float:
-        return entropy(self, b)
-
 
 def _card_log(a: FocalSet, frame: Frame) -> float:
     return math.log2(a.cardinality)

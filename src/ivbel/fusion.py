@@ -30,7 +30,6 @@ __all__ = [
     "CombinationReport",
     "dempster_combine",
     "dempster_combine_n",
-    "proposed_combine",
     "proposed_combine_report",
 ]
 
@@ -117,21 +116,15 @@ def dempster_combine_n(bodies: Sequence[Bpa]) -> tuple[Bpa, float]:
     return acc, 1.0 - surviving
 
 
-def proposed_combine(
-    bodies: Sequence[IntervalBeliefStructure],
-    m: str | EntropyMeasure = "pal",
-) -> IntervalMassResult:
-    """Combine interval-valued bodies through their entropy-bound BPAs."""
-    return proposed_combine_report(bodies, m).result
-
-
 def proposed_combine_report(
     bodies: Sequence[IntervalBeliefStructure],
     m: str | EntropyMeasure = "pal",
 ) -> CombinationReport:
-    """Like :func:`proposed_combine`, returning the full audit trail:
-    per-body extremal BPAs, fold conflicts and minimum ties.  The hull of
-    two folded BPAs is normalized by construction, so it needs no repair."""
+    """Combine interval-valued bodies through their entropy-bound BPAs.
+
+    The report's ``result`` is the combined structure; the rest is the audit
+    trail: per-body extremal BPAs, fold conflicts and minimum ties.  The hull
+    of two folded BPAs is normalized by construction, so it needs no repair."""
     _check_bodies(bodies, normalized=True)
     meas = measure(m)
     notes: list[str] = []

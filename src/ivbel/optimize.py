@@ -30,7 +30,6 @@ __all__ = [
     "EntropyBoundsSolution",
     "water_fill",
     "max_entropy_bpa",
-    "min_entropy_bpa",
     "entropy_bounds",
 ]
 
@@ -141,20 +140,10 @@ def _max_vec(
 
 def max_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bpa:
     """The feasible BPA maximizing a separable measure.  Requires a
-    normalized structure."""
+    normalized structure.  It is ``entropy_bounds(ibs, m).m_max`` without
+    the vertex search for the minimum."""
     meas, profile = _prepare(ibs, m)
     return Bpa(ibs.frame, tuple(zip(ibs.focal_sets, _max_vec(ibs, meas, profile))))
-
-
-def min_entropy_bpa(ibs: IntervalBeliefStructure, m: str | EntropyMeasure) -> Bpa:
-    """The feasible BPA minimizing a separable measure.  Requires a
-    normalized structure.
-
-    This is the ``m_min`` witness of :func:`entropy_bounds`: for strictly
-    concave measures, the lexicographically first polytope vertex tied for
-    the minimum.
-    """
-    return entropy_bounds(ibs, m).m_min
 
 
 def entropy_bounds(

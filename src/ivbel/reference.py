@@ -364,4 +364,5 @@ def song_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
     """Song's combination: pignistic projection, intuitionistic fold,
     back-transform, final normalization.  Output is Bayesian (singleton
     focal sets only) and normalized."""
+    # Looked up as a module global, so a tracer that rebinds it times this call too.
     return song_combine_detail(bodies).result

@@ -57,6 +57,11 @@ def random_bpa(rng: random.Random, frame: Frame = FRAME3, max_sets: int = 4) -> 
     return Bpa(frame, tuple((fs, w / total) for fs, w in zip(chosen, weights)))
 
 
+def point_body(b: Bpa) -> IntervalBeliefStructure:
+    """A BPA as a zero-width interval structure."""
+    return IntervalBeliefStructure(b.frame, tuple((fs, m, m) for fs, m in b.entries))
+
+
 def random_wide_bpa(rng: random.Random, frame: Frame, max_sets: int = 31) -> Bpa:
     """A BPA on 1..max_sets random non-empty subsets of ``frame``, any subset
     allowed; the first always holds the frame's highest bit (bit 15 on a

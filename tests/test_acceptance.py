@@ -28,7 +28,7 @@ from ivbel import (
     entropy_bounds,
     is_normalized,
     normalize,
-    proposed_combine,
+    proposed_combine_report,
     validate_ibs,
     wang_combine,
 )
@@ -217,7 +217,7 @@ def _nguyen_hull(min2) -> dict[str, tuple[Fraction, Fraction]]:
 
 
 _T3_RAW = _raw_product_bounds(*_T34_BOXES)
-# min_entropy_bpa resolves ties to the lexicographically first vertex.
+# entropy_bounds(...).m_min resolves ties to the lexicographically first vertex.
 _T4_NGUYEN = _nguyen_hull(_min_shannon_vertices(_T34_BOXES[1])[0])
 
 ERRATA: dict[tuple[str, str, str, str], Erratum] = {
@@ -358,7 +358,7 @@ def test_c2_table4_tie_break_certificate():
     witness = tuple(sol.m_min.mass(fs) for fs in bodies[0].focal_sets)
     assert witness == pytest.approx((1 / 3, 13 / 30, 7 / 30, 0.0), abs=1e-9)
 
-    result = proposed_combine(bodies, "dubois-prade")
+    result = proposed_combine_report(bodies, "dubois-prade").result
     frame = ev.frame
     for label, hi in (("A1", 0.4274), ("A2", 0.3333), ("A3", 0.2393)):
         assert result.interval(frame.singleton(label))[1] == pytest.approx(
@@ -592,13 +592,13 @@ def test_c7_proposed_permutation_invariance():
         seed += 1
         bodies = [random_normalized_ibs(rng) for _ in range(3)]
         try:
-            forward = proposed_combine(bodies, "pal")
+            forward = proposed_combine_report(bodies, "pal").result
         except TotalConflictError:
             continue
         checked += 1
         shuffled = list(bodies)
         rng.shuffle(shuffled)
-        back = proposed_combine(shuffled, "pal")
+        back = proposed_combine_report(shuffled, "pal").result
         assert len(forward.entries) == len(back.entries)
         for fs, lo, hi in forward.entries:
             lo2, hi2 = back.interval(fs)
@@ -633,7 +633,7 @@ def test_c7_containment_chain():
     wang = wang_combine(bodies)
     tol = 1e-9
     for mid in SEPARABLE_MEASURE_IDS:
-        prop = proposed_combine(bodies, mid)
+        prop = proposed_combine_report(bodies, mid).result
         for fs, lo, hi in prop.entries:
             w_lo, w_hi = wang.interval(fs)
             d_lo, d_hi = den.interval(fs)

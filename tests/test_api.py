@@ -1,9 +1,11 @@
 """The package's public surface: its names, and values that travel through
 pickle and copy but refuse any change."""
 
+import ast
 import copy
 import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from ivbel import (
 from ivbel.reproduce import reproduce
 
 MODULES = ("core", "entropy", "formats", "fusion", "optimize", "polytope", "reference")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 FRAME = Frame(("A", "B", "C"))
 BPA = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})
@@ -94,3 +97,62 @@ def test_public_names_resolve_to_their_defining_module():
     assert all(star[name] is getattr(ivbel, name) for name in ivbel.__all__)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ivbel.no_such_name
+
+
+def _bench_call_surface():
+    """What the benchmark reads of the package, from the source of
+    ``bench/*.py``: ``ivbel.<name>`` attributes, ``(module, name)`` pairs
+    from ``from ivbel.<module> import <name>``, the modules that
+    ``import ivbel.<module>`` loads, and the ``TARGETS`` pairs of
+    ``bench/tracing.py``."""
+    names, pairs, modules = set(), set(), set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "ivbel":
+                    names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ivbel."):
+                pairs.update((node.module[len("ivbel."):], alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(a.name for a in node.names if a.name.startswith("ivbel."))
+            elif isinstance(node, ast.AnnAssign) and path.name == "tracing.py":
+                if getattr(node.target, "id", None) == "TARGETS":
+                    for targets in ast.literal_eval(node.value).values():
+                        pairs.update(targets)
+    return names, pairs, modules
+
+
+def test_the_benchmark_call_surface_resolves():
+    names, pairs, modules = _bench_call_surface()
+    assert {"entropy_bounds", "max_entropy_bpa", "song_combine_detail"} <= names
+    assert {("optimize", "max_entropy_bpa"), ("reference", "song_combine_detail")} <= pairs
+    for module in modules:
+        importlib.import_module(module)
+    assert [name for name in sorted(names) if not hasattr(ivbel, name)] == []
+    missing = [
+        (module, name)
+        for module, name in sorted(pairs)
+        if not hasattr(importlib.import_module(f"ivbel.{module}"), name)
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("core", "from_bpa"),
+        ("optimize", "min_entropy_bpa"),
+        ("fusion", "proposed_combine"),
+    ],
+)
+def test_views_of_another_result_are_gone(module, name):
+    # Use point_body in the tests, entropy_bounds(...).m_min and
+    # proposed_combine_report(...).result instead.
+    assert name not in ivbel.__all__ and not hasattr(ivbel, name)
+    assert not hasattr(importlib.import_module(f"ivbel.{module}"), name)
+
+
+def test_a_measure_is_not_callable():
+    # Evaluate a measure with entropy(m, b).
+    assert not callable(measure("pal"))

@@ -360,6 +360,23 @@ class TestEntropy:
         for row in doc["results"]:
             assert row["h_min"] == pytest.approx(row["h_max"], abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "command", [("entropy",), ("combine", "--method", "dempster")], ids=["entropy", "dempster"]
+    )
+    def test_point_valued_within_tolerance(self, capsys, tmp_path, command):
+        # Widths within the mass-sum tolerance whose midpoints sum to 1 + 7e-9.
+        masses = [{"set": ["E0"], "lo": 1 - 1e-9, "hi": 1}]
+        masses += [{"set": [f"E{i}"], "lo": 0, "hi": 1e-9} for i in range(1, 16)]
+        data = {
+            "format": 1,
+            "frame": [f"E{i}" for i in range(16)],
+            "bodies": [{"name": "m1", "masses": masses}, {"name": "m2", "masses": masses}],
+        }
+        path = tmp_path / "slivers.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc, _, err = run(capsys, command[0], str(path), *command[1:])
+        assert (rc, err) == (0, "")
+
     def test_single_measure_bounds_ordered(self, capsys):
         rc, out, _ = run(
             capsys, "entropy", bundled("example5"), "--measure", "deng",

@@ -21,8 +21,8 @@ from ivbel import (
     IvbelError,
     NormalizationError,
     bel,
+    contains,
     degenerate_bpa,
-    from_bpa,
     is_normalized,
     normalize,
     pignistic,
@@ -43,6 +43,7 @@ from helpers import (
     bel_oracle,
     pignistic_oracle,
     pl_oracle,
+    point_body,
     random_bpa,
     random_valid_ibs,
     random_wide_bpa,
@@ -329,7 +330,7 @@ class TestIntervalStructure:
 
     def test_degenerate_round_trip(self):
         b = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})
-        ibs = from_bpa(b)
+        ibs = point_body(b)
         assert ibs.is_degenerate()
         back = degenerate_bpa(ibs)
         assert back.entries == b.entries
@@ -339,6 +340,28 @@ class TestIntervalStructure:
                     FRAME, {("A",): (0.2, 0.9), ("B",): (0.1, 0.8)}
                 )
             )
+        with pytest.raises(IvbelError, match="must sum to 1"):
+            degenerate_bpa(
+                IntervalBeliefStructure.from_mapping(FRAME, {("A",): (0.3, 0.3), ("B",): (0.3, 0.3)})
+            )
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [[(0.1 - 9e-10, 0.1)] * 10, [(1.0 - 1e-9, 1.0)] + [(0.0, 1e-9)] * 15],
+        ids=["ten-short-singletons", "one-major-fifteen-slivers"],
+    )
+    def test_degenerate_bpa_sums_to_one_when_the_midpoints_miss(self, bounds):
+        # Widths within MASS_SUM_TOL, but the midpoints miss a unit total by
+        # more than it; the BPA is then the point of the box that sums to one.
+        frame = Frame(tuple(f"E{i}" for i in range(len(bounds))))
+        body = IntervalBeliefStructure(
+            frame, tuple((frame.singleton(f"E{i}"), lo, hi) for i, (lo, hi) in enumerate(bounds))
+        )
+        assert body.is_degenerate() and validate_ibs(body) and is_normalized(body)
+        assert abs(math.fsum((lo + hi) / 2.0 for lo, hi in bounds) - 1.0) > MASS_SUM_TOL
+        masses = [degenerate_bpa(body).mass(fs) for fs in body.focal_sets]
+        assert abs(math.fsum(masses) - 1.0) <= MASS_SUM_TOL
+        assert contains(body, masses)
 
 
 class TestValidity:
@@ -486,7 +509,7 @@ class TestNormalization:
     def test_degenerate_bpa_of_random_point(self, seed):
         rng = random.Random(seed)
         b = random_bpa(rng)
-        assert degenerate_bpa(from_bpa(b)).entries == b.entries
+        assert degenerate_bpa(point_body(b)).entries == b.entries
 
 
 # Run in a fresh interpreter, on one evidence file: each step names the

@@ -165,7 +165,7 @@ class TestApi:
         m = measure("deng")
         assert m.id == "deng" and m.separable and m.beta == 1.0
         assert measure(m) is m
-        assert m(NESTED) == entropy("deng", NESTED)
+        assert entropy(m, NESTED) == entropy("deng", NESTED)
 
     def test_unknown_measure(self):
         with pytest.raises(IvbelError, match="unknown measure id 'shannon'"):

@@ -16,7 +16,6 @@ from ivbel import (
     dempster_combine,
     dempster_combine_n,
     normalize,
-    proposed_combine,
     proposed_combine_report,
 )
 from ivbel.core import MASS_DROP_EPS
@@ -155,7 +154,7 @@ class TestProposedCombine:
         ev = load_bundled("example4")
         frame = ev.frame
         bodies = [normalize(ibs) for _, ibs in ev.bodies]
-        result = proposed_combine(bodies, "pal")
+        result = proposed_combine_report(bodies, "pal").result
         expected = {
             ("A1",): (0.49, 0.91),
             ("A1", "A2"): (0.05, 0.21),
@@ -189,7 +188,7 @@ class TestProposedCombine:
         ev = load_bundled("example4")
         body = normalize(ev.bodies[0][1])
         with pytest.raises(IvbelError, match="at least two bodies"):
-            proposed_combine((body,))
+            proposed_combine_report((body,)).result
 
     def test_rejects_unnormalized_body(self):
         loose = random_valid_ibs(random.Random(7))
@@ -198,7 +197,7 @@ class TestProposedCombine:
 
         assert not is_normalized(loose)
         with pytest.raises(IvbelError, match="body 1 is not normalized"):
-            proposed_combine((loose, ok))
+            proposed_combine_report((loose, ok)).result
 
     @pytest.mark.parametrize("m", SEPARABLE_MEASURE_IDS)
     @settings(max_examples=60, deadline=None)
@@ -221,12 +220,12 @@ class TestProposedCombine:
         rng = random.Random(seed)
         bodies = [random_normalized_ibs(rng) for _ in range(3)]
         try:
-            forward = proposed_combine(bodies, "pal")
+            forward = proposed_combine_report(bodies, "pal").result
         except TotalConflictError:
             return
         shuffled = list(bodies)
         rng.shuffle(shuffled)
-        back = proposed_combine(shuffled, "pal")
+        back = proposed_combine_report(shuffled, "pal").result
         assert len(forward.entries) == len(back.entries)
         for fs, lo, hi in forward.entries:
             lo2, hi2 = back.interval(fs)

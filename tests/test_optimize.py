@@ -20,7 +20,6 @@ from ivbel import (
     entropy_bounds,
     is_normalized,
     max_entropy_bpa,
-    min_entropy_bpa,
     normalize,
 )
 from ivbel.entropy import entropy_from_profile, separable_profile
@@ -169,7 +168,7 @@ class TestLinearGreedy:
     def test_min_splits_residual_equally_among_tied_singletons(self):
         # All three singletons share weight log2(1) = 0, so the 0.4 residual
         # is split three ways; nobody hits an upper bound.
-        b = min_entropy_bpa(self.IBS, "dubois-prade")
+        b = entropy_bounds(self.IBS, "dubois-prade").m_min
         masses = tuple(b.mass(fs) for fs in self.IBS.focal_sets)
         assert masses == pytest.approx((1 / 3, 13 / 30, 7 / 30, 0.0), abs=1e-12)
         assert entropy("dubois-prade", b) == pytest.approx(0.0, abs=1e-12)
@@ -177,7 +176,7 @@ class TestLinearGreedy:
     def test_min_is_not_a_vertex_here(self):
         # The equal split leaves three coordinates strictly inside their
         # bounds, which no vertex does; linear objectives still allow it.
-        b = min_entropy_bpa(self.IBS, "dubois-prade")
+        b = entropy_bounds(self.IBS, "dubois-prade").m_min
         masses = tuple(b.mass(fs) for fs in self.IBS.focal_sets)
         assert all(
             sum(abs(a - c) for a, c in zip(masses, v)) > 1e-9
@@ -188,7 +187,7 @@ class TestLinearGreedy:
         ibs = normalized(
             {("X",): (0.0, 0.1), ("Y",): (0.0, 0.2), ("X", "Y"): (0.0, 1.0)}
         )
-        b = min_entropy_bpa(ibs, "dubois-prade")
+        b = entropy_bounds(ibs, "dubois-prade").m_min
         # Singletons saturate at 0.1 + 0.2; the doubleton takes the rest.
         assert tuple(m for _, m in b.entries) == pytest.approx((0.1, 0.2, 0.7))
 

@@ -23,13 +23,12 @@ from ivbel import (
     dempster_combine,
     denoeux_combine,
     denoeux_normalize,
-    from_bpa,
     ifs_combine,
     interval_pignistic,
     is_normalized,
     leezhu_combine,
     normalize,
-    proposed_combine,
+    proposed_combine_report,
     song_combine,
     song_combine_detail,
     wang_combine,
@@ -43,6 +42,7 @@ from helpers import (
     leezhu_oracle,
     near_conflict_body,
     near_conflict_pair,
+    point_body,
     random_bpa,
     random_normalized_ibs,
     random_point_in,
@@ -62,7 +62,7 @@ def point_pair():
     [
         lambda a, b: wang_combine((a, b)),
         lambda a, b: denoeux_combine(a, b),
-        lambda a, b: proposed_combine((a, b)),
+        lambda a, b: proposed_combine_report((a, b)).result,
     ],
     ids=["wang", "denoeux", "proposed"],
 )
@@ -70,7 +70,7 @@ def test_engines_share_the_normalized_input_contract(engine):
     loose = IntervalBeliefStructure.from_mapping(
         FRAME, {("A",): (0.1, 0.9), ("B",): (0.1, 0.9), ("C",): (0.1, 0.9)}
     )
-    ok = from_bpa(point_pair()[0])
+    ok = point_body(point_pair()[0])
     with pytest.raises(
         IvbelError,
         match=r"^body 2 is not normalized; normalize inputs before combining$",
@@ -187,7 +187,7 @@ class TestLeeZhu:
 class TestDenoeux:
     def test_point_masses_reproduce_raw_products(self):
         b1, b2 = point_pair()
-        raw = denoeux_combine(from_bpa(b1), from_bpa(b2))
+        raw = denoeux_combine(point_body(b1), point_body(b2))
         assert raw.includes_empty == pytest.approx((0.3, 0.3), abs=1e-12)
         assert raw.interval(FRAME.singleton("A")) == pytest.approx((0.3, 0.3))
         assert raw.interval(FRAME.singleton("B")) == pytest.approx((0.2, 0.2))
@@ -196,7 +196,7 @@ class TestDenoeux:
 
     def test_raw_result_withholds_the_flag(self):
         # No conflict: the raw bounds are tight, but they are still raw.
-        b = from_bpa(Bpa.from_mapping(FRAME, {("A", "B"): 0.5, ("A", "B", "C"): 0.5}))
+        b = point_body(Bpa.from_mapping(FRAME, {("A", "B"): 0.5, ("A", "B", "C"): 0.5}))
         raw = denoeux_combine(b, b)
         assert raw.includes_empty == (0.0, 0.0) and is_normalized(raw)
         assert raw.normalized is False
@@ -204,7 +204,7 @@ class TestDenoeux:
     def test_point_masses_normalize_to_dempster(self):
         b1, b2 = point_pair()
         expected, _ = dempster_combine(b1, b2)
-        out = denoeux_normalize(denoeux_combine(from_bpa(b1), from_bpa(b2)))
+        out = denoeux_normalize(denoeux_combine(point_body(b1), point_body(b2)))
         for fs, lo, hi in out.entries:
             assert lo == pytest.approx(expected.mass(fs), abs=1e-12)
             assert hi == pytest.approx(expected.mass(fs), abs=1e-12)
@@ -246,8 +246,8 @@ class TestDenoeux:
             denoeux_combine(loose, loose)
 
     def test_total_conflict(self):
-        b1 = from_bpa(Bpa.from_mapping(FRAME, {("A",): 1.0}))
-        b2 = from_bpa(Bpa.from_mapping(FRAME, {("B",): 1.0}))
+        b1 = point_body(Bpa.from_mapping(FRAME, {("A",): 1.0}))
+        b2 = point_body(Bpa.from_mapping(FRAME, {("B",): 1.0}))
         raw = denoeux_combine(b1, b2)
         assert raw.entries == () and raw.includes_empty == (1.0, 1.0)
         with pytest.raises(TotalConflictError, match="not combinable: total conflict"):
@@ -363,7 +363,7 @@ class TestWang:
     def test_point_masses_reduce_to_dempster(self):
         b1, b2 = point_pair()
         expected, _ = dempster_combine(b1, b2)
-        out = wang_combine((from_bpa(b1), from_bpa(b2)))
+        out = wang_combine((point_body(b1), point_body(b2)))
         assert out.normalized
         for fs, lo, hi in out.entries:
             assert lo == pytest.approx(expected.mass(fs), abs=1e-12)
@@ -371,13 +371,13 @@ class TestWang:
 
     def test_needs_two_bodies(self):
         with pytest.raises(IvbelError, match="at least two bodies"):
-            wang_combine((from_bpa(point_pair()[0]),))
+            wang_combine((point_body(point_pair()[0]),))
 
     def test_requires_normalized_inputs(self):
         loose = IntervalBeliefStructure.from_mapping(
             FRAME, {("A",): (0.1, 0.9), ("B",): (0.1, 0.9), ("C",): (0.1, 0.9)}
         )
-        ok = from_bpa(point_pair()[0])
+        ok = point_body(point_pair()[0])
         with pytest.raises(IvbelError, match="body 2 is not normalized"):
             wang_combine((ok, loose))
 
