@@ -39,12 +39,13 @@ _EXPORTS = {
         "result_from_json", "result_to_json",
     ),
     "fusion": (
-        "CombinationReport", "dempster_combine", "dempster_combine_n", "proposed_combine_report",
+        "CombinationReport", "combine", "dempster_combine", "dempster_combine_n",
+        "proposed_combine_report",
     ),
     "optimize": ("EntropyBoundsSolution", "entropy_bounds", "max_entropy_bpa"),
     "polytope": ("contains", "enumerate_vertices"),
     "reference": (
-        "IfsElement", "SongStages", "denoeux_combine", "denoeux_normalize", "ifs_combine",
+        "IfsElement", "denoeux_combine", "denoeux_normalize", "ifs_combine",
         "interval_pignistic", "leezhu_combine", "song_combine", "song_combine_detail",
         "wang_combine",
     ),

@@ -39,6 +39,7 @@ from .core import (
 from .entropy import MEASURE_IDS, SEPARABLE_MEASURE_IDS, entropy, measure
 from .formats import (
     FORMAT_VERSION,
+    METHODS,
     REPRODUCE_TARGETS,
     EvidenceFile,
     evidence_to_json,
@@ -51,8 +52,6 @@ from .formats import (
 
 # The engine modules (optimize, fusion, reference, reproduce) are imported
 # inside the commands that run them, so validate and normalize never load them.
-
-METHODS = ("proposed", "wang", "denoeux", "leezhu", "song", "dempster")
 
 _TOLERANCE_FOOTER = f"tolerances: mass sum {MASS_SUM_TOL:g}, zero drop {MASS_DROP_EPS:g}"
 
@@ -200,64 +199,21 @@ def _method_label(method: str, *, measure: str = "pal", w: float = 2.0) -> str:
     return method
 
 
-def _run_engine(
-    method: str,
-    names: list[str],
-    bodies: list[IntervalBeliefStructure],
-    *,
-    measure: str = "pal",
-    w: float = 2.0,
-) -> tuple[IntervalMassResult, list[str], list[str]]:
-    """Run one engine on the bodies as given; returns (result, table-mode
-    detail lines, notes)."""
-    from .fusion import dempster_combine_n, proposed_combine_report
-    from .reference import (
-        denoeux_combine,
-        denoeux_normalize,
-        leezhu_combine,
-        song_combine_detail,
-        wang_combine,
-    )
-
-    if method in ("leezhu", "denoeux") and len(bodies) != 2:
-        raise IvbelError(f"{method} combines exactly two bodies")
-    if method == "leezhu":
-        return leezhu_combine(bodies[0], bodies[1], w), [], []
-
-    if method == "proposed":
-        rep = proposed_combine_report(bodies, measure)
-        details = [f"{label}: {_bpa_cells(bpa)}" for label, bpa in rep.intermediate_bpas]
-        for label, conflict in zip(("fold.max", "fold.min"), rep.conflicts):
-            details.append(f"conflict {label}: K = {conflict:.4f}")
-        return rep.result, details, list(rep.notes)
-
-    if method == "wang":
-        return wang_combine(bodies), [], []
-
-    if method == "denoeux":
-        raw = denoeux_combine(bodies[0], bodies[1])
-        e_lo, e_hi = raw.includes_empty
-        empty = f"mass on the empty set before renormalization: [{e_lo:.4f}, {e_hi:.4f}]"
-        return denoeux_normalize(raw), [empty], []
-
-    if method == "song":
-        det = song_combine_detail(bodies)
-        pignistic = zip(names, det.pignistic_bodies)
-        return det.result, [f"pignistic {n}: {_interval_cells(b)}" for n, b in pignistic], []
-
-    # method == "dempster", the last of METHODS
-    for name, body in zip(names, bodies):
-        if not body.is_degenerate():
-            raise IvbelError(
-                f"method dempster needs point-valued evidence (lo = hi);"
-                f" body {name!r} has interval bounds"
-            )
-    combined, conflict = dempster_combine_n([degenerate_bpa(b) for b in bodies])
-    result = IntervalMassResult(combined.frame, tuple((fs, m, m) for fs, m in combined.entries))
-    return result, [f"cumulative conflict: K = {conflict:.4f}"], []
+def _audit_lines(rep) -> list[str]:
+    """A combination report's stages and fold conflicts, one line each."""
+    lines = [
+        f"{label}: {_bpa_cells(s) if isinstance(s, Bpa) else _interval_cells(s)}"
+        for label, s in rep.stages
+    ]
+    for label, lo, hi in rep.conflicts:
+        k = f"= {lo:.4f}" if lo == hi else f"in [{lo:.4f}, {hi:.4f}]"
+        lines.append(f"conflict {label}: K {k}")
+    return lines
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
+    from .fusion import combine
+
     if args.measure is not None and args.method != "proposed":
         return _fail("--measure only applies to --method proposed")
     if args.w is not None and args.method != "leezhu":
@@ -269,7 +225,6 @@ def cmd_combine(args: argparse.Namespace) -> int:
     if len(ev.bodies) < 2:
         return _fail("no evidence: need at least two bodies to combine")
     frame = ev.frame
-    names = [name for name, _ in ev.bodies]
     bodies = [body for _, body in ev.bodies]
     method_label = _method_label(args.method, measure=measure, w=w)
     lines = [f"frame: {frame.format_set(frame.full_set)} ({len(bodies)} bodies)"]
@@ -280,12 +235,13 @@ def cmd_combine(args: argparse.Namespace) -> int:
         # reference rows only reproduce without prior normalization.
         lines.append("inputs passed through unchanged (engine convention)")
     else:
-        for i, name in enumerate(names):
-            bodies[i], steps = normalization_steps(bodies[i])
+        for i, (name, body) in enumerate(ev.bodies):
+            bodies[i], steps = normalization_steps(body)
             lines.append(f"normalization {name}: {_describe_steps(steps)}")
-    result, details, notes = _run_engine(args.method, names, bodies, measure=measure, w=w)
-    lines.extend(details)
-    lines.extend(f"note: {n}" for n in notes)
+    rep = combine(args.method, bodies, measure=measure, w=w)
+    result = rep.result
+    lines.extend(_audit_lines(rep))
+    lines.extend(f"note: {n}" for n in rep.notes)
     lines.append(render_intervals_table(result.frame, result.entries))
     doc = result_to_json(result, method=method_label)
     # A table shows the notes above the result, so only csv hands them to
@@ -294,7 +250,7 @@ def cmd_combine(args: argparse.Namespace) -> int:
         args.format,
         doc,
         lines,
-        notes=notes if args.format == "csv" else (),
+        notes=rep.notes if args.format == "csv" else (),
         csv_column="method",
         csv_sources=[(method_label, result)],
     )
@@ -302,27 +258,24 @@ def cmd_combine(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .fusion import combine
+
     ev = load_evidence(args.file)
     if len(ev.bodies) < 2:
         return _fail("no evidence: need at least two bodies to compare")
-    names = [name for name, _ in ev.bodies]
     bodies = [normalize(body) for _, body in ev.bodies]
 
-    methods = ["denoeux", "wang", "song", "proposed"]
     notes: list[str] = []
-    if len(bodies) != 2:
-        methods.remove("denoeux")
-        notes.append("denoeux column omitted: that engine combines exactly two bodies")
     columns = []
-    for m in methods:
+    for m in ("denoeux", "wang", "song", "proposed"):
         label = _method_label(m, measure=args.measure)
         try:
-            result, _, engine_notes = _run_engine(m, names, bodies, measure=args.measure)
+            rep = combine(m, bodies, measure=args.measure)
         except IvbelError as exc:
             notes.append(f"{label} column omitted: {exc}")
             continue
-        columns.append((label, result))
-        notes.extend(f"{label}: {note}" for note in engine_notes)
+        columns.append((label, rep.result))
+        notes.extend(f"{label}: {note}" for note in rep.notes)
     if not columns:
         return _fail("every engine failed: " + "; ".join(notes))
 

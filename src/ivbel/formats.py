@@ -39,6 +39,7 @@ from .core import (
 
 __all__ = [
     "FORMAT_VERSION",
+    "METHODS",
     "REPRODUCE_TARGETS",
     "EvidenceFile",
     "parse_evidence",
@@ -53,8 +54,10 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-# The targets of :func:`ivbel.reproduce.reproduce`, named here so that the
-# command line can offer them without loading the engines they run.
+# The methods of :func:`ivbel.fusion.combine` and the targets of
+# :func:`ivbel.reproduce.reproduce`, named here so that the command line can
+# offer them without loading the engines they run.
+METHODS = ("proposed", "wang", "denoeux", "leezhu", "song", "dempster")
 REPRODUCE_TARGETS = ("table2", "table3", "table4", "example4", "example32", "example33")
 
 

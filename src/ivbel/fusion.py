@@ -1,4 +1,5 @@
-"""Evidence combination: Dempster's rule and the entropy-bound method.
+"""Evidence combination: Dempster's rule, the entropy-bound method, and
+:func:`combine`, the one entry point to every engine.
 
 The interval-valued combination works body by body: for each input structure
 the entropy-maximizing and entropy-minimizing BPAs are extracted (under a
@@ -22,24 +23,29 @@ from .core import (
     TotalConflictError,
     _check_bodies,
     _check_same_frame,
+    degenerate_bpa,
 )
 from .entropy import EntropyMeasure, measure
+from .formats import METHODS
 from .optimize import entropy_bounds
 
 __all__ = [
     "CombinationReport",
+    "combine",
     "dempster_combine",
     "dempster_combine_n",
     "proposed_combine_report",
 ]
 
 class CombinationReport(NamedTuple):
-    """A combination result together with its audit trail; ``conflicts``
-    holds the cumulative conflict K of the max fold and of the min fold."""
+    """A combination result together with its audit trail, the same for
+    every engine.  ``stages`` holds labelled intermediate BPAs or bodies in
+    the order the engine computed them; ``conflicts`` holds ``(label, lo,
+    hi)``, the conflict mass K of each fold, with ``lo == hi`` for a point."""
 
     result: IntervalMassResult
-    conflicts: tuple[float, float]
-    intermediate_bpas: tuple[tuple[str, Bpa], ...] = ()
+    stages: tuple[tuple[str, Bpa | IntervalBeliefStructure], ...] = ()
+    conflicts: tuple[tuple[str, float, float], ...] = ()
     notes: tuple[str, ...] = ()
 
 
@@ -128,15 +134,15 @@ def proposed_combine_report(
     _check_bodies(bodies, normalized=True)
     meas = measure(m)
     notes: list[str] = []
-    intermediates: list[tuple[str, Bpa]] = []
+    stages: list[tuple[str, Bpa]] = []
     maxes: list[Bpa] = []
     mins: list[Bpa] = []
     for idx, body in enumerate(bodies, start=1):
         sol = entropy_bounds(body, meas)
         maxes.append(sol.m_max)
         mins.append(sol.m_min)
-        intermediates.append((f"body{idx}.max", sol.m_max))
-        intermediates.append((f"body{idx}.min", sol.m_min))
+        stages.append((f"body{idx}.max", sol.m_max))
+        stages.append((f"body{idx}.min", sol.m_min))
         if sol.min_tie_count > 1:
             notes.append(
                 f"body {idx}: {sol.min_tie_count} vertices tie for the entropy "
@@ -145,8 +151,8 @@ def proposed_combine_report(
 
     folded_max, k_max = dempster_combine_n(maxes)
     folded_min, k_min = dempster_combine_n(mins)
-    intermediates.append(("fold.max", folded_max))
-    intermediates.append(("fold.min", folded_min))
+    stages.append(("fold.max", folded_max))
+    stages.append(("fold.min", folded_min))
 
     support: set[int] = set()
     for body in bodies:
@@ -163,7 +169,54 @@ def proposed_combine_report(
 
     return CombinationReport(
         result=IntervalMassResult(bodies[0].frame, tuple(entries)),
-        conflicts=(k_max, k_min),
-        intermediate_bpas=tuple(intermediates),
+        stages=tuple(stages),
+        conflicts=(("fold.max", k_max, k_max), ("fold.min", k_min, k_min)),
         notes=tuple(notes),
     )
+
+
+def combine(
+    method: str,
+    bodies: Sequence[IntervalBeliefStructure],
+    *,
+    measure: str | EntropyMeasure = "pal",
+    w: float = 2.0,
+) -> CombinationReport:
+    """Run the engine ``method``, one of :data:`METHODS`, on the bodies as
+    given; normalizing them is the caller's choice.
+
+    ``measure`` is the objective of ``proposed`` and ``w`` the order of
+    ``leezhu``; the other engines ignore both.  ``denoeux`` and ``leezhu``
+    take exactly two bodies, and ``dempster`` only point-valued ones.
+    """
+    # reference imports this module; it is read as a module so that a tracer
+    # that rebinds its functions times these calls too.
+    from . import reference
+
+    if method not in METHODS:
+        raise IvbelError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    if method in ("denoeux", "leezhu") and len(bodies) != 2:
+        raise IvbelError(f"{method} combines exactly two bodies")
+    if method == "proposed":
+        return proposed_combine_report(bodies, measure)
+    if method == "song":
+        return reference.song_combine_detail(bodies)
+    if method == "wang":
+        return CombinationReport(reference.wang_combine(bodies))
+    if method == "leezhu":
+        return CombinationReport(reference.leezhu_combine(bodies[0], bodies[1], w))
+    if method == "denoeux":
+        raw = reference.denoeux_combine(bodies[0], bodies[1])
+        return CombinationReport(
+            reference.denoeux_normalize(raw), conflicts=(("fold", *raw.includes_empty),)
+        )
+    # method == "dempster", the last of METHODS
+    for idx, body in enumerate(bodies, start=1):
+        if not body.is_degenerate():
+            raise IvbelError(
+                f"method dempster needs point-valued evidence (lo = hi);"
+                f" body {idx} has interval bounds"
+            )
+    combined, conflict = dempster_combine_n([degenerate_bpa(b) for b in bodies])
+    result = IntervalMassResult(combined.frame, tuple((fs, m, m) for fs, m in combined.entries))
+    return CombinationReport(result, conflicts=(("fold", conflict, conflict),))

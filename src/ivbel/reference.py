@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     MASS_DROP_EPS,
@@ -35,7 +35,7 @@ from .core import (
     _pignistic_sums,
     normalize,
 )
-from .fusion import _products, _surviving_mass, _total_conflict
+from .fusion import CombinationReport, _products, _surviving_mass, _total_conflict
 from .polytope import enumerate_vertices
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "interval_pignistic",
     "song_combine",
     "song_combine_detail",
-    "SongStages",
 ]
 
 
@@ -312,52 +311,33 @@ def interval_pignistic(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
     return normalize(IntervalBeliefStructure(frame, entries))
 
 
-class SongStages(NamedTuple):
-    """Audit trail of the Song pipeline."""
-
-    normalized_bodies: tuple[IntervalBeliefStructure, ...]
-    pignistic_bodies: tuple[IntervalBeliefStructure, ...]
-    ifs_bodies: tuple[tuple[IfsElement, ...], ...]
-    combined_ifs: tuple[IfsElement, ...]
-    raw: IntervalMassResult
-    result: IntervalMassResult
-
-
-def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> SongStages:
-    """Song's pipeline with every intermediate stage exposed.
+def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> CombinationReport:
+    """Song's pipeline with its audit trail.
 
     normalize each body -> interval pignistic per body -> read each
     singleton interval ``[a, b]`` as the assessment ``mu = a``,
     ``gamma = 1 - b`` -> fold assessments across bodies -> back to
     intervals ``[mu, 1 - gamma]`` -> final normalization.
 
-    ``raw`` holds the back-transformed intervals before the final
-    normalization; ``result`` is the normalized output (singletons only).
+    The report's stages are each ``body<i>.pignistic`` and ``fold``, the
+    back-transformed intervals before the final normalization; its
+    ``result`` is the normalized output (singletons only).
     """
     _check_bodies(bodies, normalized=False)
     frame = bodies[0].frame
-    normalized_bodies = tuple(normalize(b) for b in bodies)
-    pignistic_bodies = tuple(interval_pignistic(b) for b in normalized_bodies)
-
+    stages = [
+        (f"body{idx}.pignistic", interval_pignistic(normalize(body)))
+        for idx, body in enumerate(bodies, start=1)
+    ]
+    entries = []
     # Each pignistic body holds every singleton, in frame order.
-    ifs_bodies = tuple(
-        tuple(IfsElement(s, mu=a, gamma=1.0 - b) for s, a, b in body.entries)
-        for body in pignistic_bodies
-    )
-    combined = tuple(functools.reduce(ifs_combine, column) for column in zip(*ifs_bodies))
-
-    # 1 - gamma can undershoot mu by a few ulps when the hesitancy is zero.
-    raw = IntervalMassResult(
-        frame, tuple((e.target, min(e.mu, 1.0 - e.gamma), 1.0 - e.gamma) for e in combined)
-    )
-    return SongStages(
-        normalized_bodies=normalized_bodies,
-        pignistic_bodies=pignistic_bodies,
-        ifs_bodies=ifs_bodies,
-        combined_ifs=combined,
-        raw=raw,
-        result=IntervalMassResult(frame, normalize(raw.as_ibs()).entries),
-    )
+    for column in zip(*(body.entries for _, body in stages)):
+        e = functools.reduce(ifs_combine, (IfsElement(s, a, 1.0 - b) for s, a, b in column))
+        # 1 - gamma can undershoot mu by a few ulps when the hesitancy is zero.
+        entries.append((e.target, min(e.mu, 1.0 - e.gamma), 1.0 - e.gamma))
+    fold = IntervalBeliefStructure(frame, entries)
+    stages.append(("fold", fold))
+    return CombinationReport(IntervalMassResult(frame, normalize(fold).entries), tuple(stages))
 
 
 def song_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResult:

@@ -17,14 +17,7 @@ from .core import MASS_DROP_EPS, MASS_SUM_TOL, Bpa, normalize
 from .entropy import SEPARABLE_MEASURE_IDS
 from .formats import REPRODUCE_TARGETS as TARGETS
 from .formats import EvidenceFile, parse_evidence
-from .fusion import dempster_combine, proposed_combine_report
-from .reference import (
-    denoeux_combine,
-    denoeux_normalize,
-    leezhu_combine,
-    song_combine_detail,
-    wang_combine,
-)
+from .fusion import combine, dempster_combine
 
 __all__ = [
     "CellCheck",
@@ -271,8 +264,8 @@ def reproduce_table2() -> TargetReport:
     cells: list[CellCheck] = []
     computed: dict[int, dict[str, tuple[float, float]]] = {}
     for w, expected in _TABLE2_EXPECTED.items():
-        out = leezhu_combine(b1, b2, float(w))
-        actual = _result_intervals(out)
+        out = combine("leezhu", (b1, b2), w=float(w))
+        actual = _result_intervals(out.result)
         computed[w] = actual
         cells.extend(_interval_cells("table2", f"w={w}", expected, actual, 5e-3))
 
@@ -295,27 +288,17 @@ def reproduce_table3() -> TargetReport:
     ev = load_bundled("example5")
     bodies = [normalize(ibs) for _, ibs in ev.bodies]
     cells: list[CellCheck] = []
-
-    den = denoeux_normalize(denoeux_combine(bodies[0], bodies[1]))
-    cells.extend(
-        _interval_cells("table3", "denoeux", _TABLE3_DENOEUX, _result_intervals(den), 5e-3)
-    )
-    wang = wang_combine(bodies)
-    cells.extend(
-        _interval_cells("table3", "wang", _TABLE3_WANG, _result_intervals(wang), 5e-3)
-    )
-    song = song_combine_detail(bodies).result
-    cells.extend(
-        _interval_cells(
-            "table3", "song", _TABLE3_SONG, _result_intervals(song), 5e-3, required=False
-        )
-    )
-    lz = leezhu_combine(bodies[0], bodies[1], 3.0)
-    cells.extend(
-        _interval_cells(
-            "table3", "leezhu[w=3]", _TABLE3_LEEZHU, _result_intervals(lz), 5e-3, required=False
-        )
-    )
+    # Each column: method, expected values, whether its cells are required.
+    # The order w = 3 applies to leezhu only.
+    columns = {
+        "denoeux": ("denoeux", _TABLE3_DENOEUX, True),
+        "wang": ("wang", _TABLE3_WANG, True),
+        "song": ("song", _TABLE3_SONG, False),
+        "leezhu[w=3]": ("leezhu", _TABLE3_LEEZHU, False),
+    }
+    for column, (method, expected, required) in columns.items():
+        actual = _result_intervals(combine(method, bodies, w=3.0).result)
+        cells.extend(_interval_cells("table3", column, expected, actual, 5e-3, required))
     notes = (
         "song and leezhu columns are informational: song depends on the"
         " documented interval pignistic convention, leezhu output is not"
@@ -331,7 +314,7 @@ def reproduce_table4() -> TargetReport:
     bodies = [normalize(ibs) for _, ibs in ev.bodies]
     cells: list[CellCheck] = []
     for mid in SEPARABLE_MEASURE_IDS:
-        rep = proposed_combine_report(bodies, mid)
+        rep = combine("proposed", bodies, measure=mid)
         cells.extend(
             _interval_cells(
                 "table4", mid, _TABLE4_EXPECTED[mid], _result_intervals(rep.result), 1e-3
@@ -345,10 +328,10 @@ def reproduce_example4() -> TargetReport:
     ev = load_bundled("example4")
     frame = ev.frame
     bodies = [normalize(ibs) for _, ibs in ev.bodies]
-    rep = proposed_combine_report(bodies, "pal")
+    rep = combine("proposed", bodies)
 
     cells: list[CellCheck] = []
-    stage = dict(rep.intermediate_bpas)
+    stage = dict(rep.stages)
     for label, expected in _EXAMPLE4_INTERMEDIATE.items():
         bpa = stage[label]
         for row, value in expected.items():
@@ -380,12 +363,11 @@ def reproduce_example32() -> TargetReport:
     """Pignistic collapse example: combination cannot move the first body."""
     ev = load_bundled("example32")
     frame = ev.frame
-    det = song_combine_detail([ibs for _, ibs in ev.bodies])
+    stage = dict(combine("song", [ibs for _, ibs in ev.bodies]).stages)
+    pignistic = [stage["body1.pignistic"], stage["body2.pignistic"]]
 
     cells: list[CellCheck] = []
-    for (name, _), body, expected in zip(
-        ev.bodies, det.pignistic_bodies, _EXAMPLE32_PIGNISTIC.values()
-    ):
+    for (name, _), body, expected in zip(ev.bodies, pignistic, _EXAMPLE32_PIGNISTIC.values()):
         actual = _result_intervals(body)
         for row, value in expected.items():
             lo, hi = actual[row]
@@ -393,8 +375,9 @@ def reproduce_example32() -> TargetReport:
                 CellCheck("example32", f"pignistic[{name}]", row, "value", value, lo, 1e-3)
             )
 
-    mu_a = det.combined_ifs[0].mu
-    m1_star = det.pignistic_bodies[0].interval(frame.singleton("A"))[0]
+    # The fold's lower bound is the combined membership mu.
+    mu_a = stage["fold"].interval(frame.singleton("A"))[0]
+    m1_star = pignistic[0].interval(frame.singleton("A"))[0]
     assertions = (
         AssertionCheck(
             "combined membership for {A} equals body 1's pignistic value",
@@ -403,7 +386,7 @@ def reproduce_example32() -> TargetReport:
         ),
         AssertionCheck(
             "both pignistic bodies are point-valued",
-            all(body.is_degenerate(MASS_DROP_EPS) for body in det.pignistic_bodies),
+            all(body.is_degenerate(MASS_DROP_EPS) for body in pignistic),
         ),
     )
     return TargetReport("example32", tuple(cells), assertions)
@@ -415,8 +398,8 @@ def reproduce_example33() -> TargetReport:
     frame = ev.frame
     bodies = [ibs for _, ibs in ev.bodies]
 
-    det = song_combine_detail(bodies)
-    song = {frame.format_set(fs): 0.5 * (lo + hi) for fs, lo, hi in det.result.entries}
+    song_result = combine("song", bodies).result
+    song = {frame.format_set(fs): 0.5 * (lo + hi) for fs, lo, hi in song_result.entries}
 
     normalized = [normalize(b) for b in bodies]
     bpas = [Bpa(b.frame, tuple((fs, lo) for fs, lo, _ in b.entries)) for b in normalized]
@@ -444,7 +427,7 @@ def reproduce_example33() -> TargetReport:
         ),
         AssertionCheck(
             "song output is point-valued on singletons",
-            det.result.is_degenerate(),
+            song_result.is_degenerate(),
         ),
     )
     notes = (f"conflict mass K = {conflict:.4f} for the plain rule",)

@@ -13,8 +13,8 @@ import ivbel
 from ivbel import (
     Bpa,
     EvidenceFile,
-    FocalSet,
     Frame,
+    IfsElement,
     IntervalBeliefStructure,
     IntervalMassResult,
     measure,
@@ -27,7 +27,6 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 FRAME = Frame(("A", "B", "C"))
 BPA = Bpa.from_mapping(FRAME, {("A",): 0.6, ("B", "C"): 0.4})
 IBS = IntervalBeliefStructure.from_mapping(FRAME, {("A",): (0.2, 0.5), ("B", "C"): (0.5, 0.8)})
-SONG = ivbel.song_combine_detail([IBS, IBS])
 
 
 def _public_values():
@@ -46,8 +45,8 @@ def _public_values():
         "evidence_file": EvidenceFile(FRAME, (("m1", IBS), ("m2", IBS))),
         "entropy_bounds": ivbel.entropy_bounds(IBS, "pal"),
         "combination_report": ivbel.proposed_combine_report([IBS, IBS], "pal"),
-        "song_stages": SONG,
-        "ifs_element": SONG.combined_ifs[0],
+        "song_stages": ivbel.song_combine_detail([IBS, IBS]),
+        "ifs_element": IfsElement(FRAME.singleton("A"), 0.2, 0.5),
         "target_report": reproduce("example4"),
     }
     values.update((f"measure_{mid}", measure(mid)) for mid in ivbel.MEASURE_IDS)
@@ -144,11 +143,13 @@ def test_the_benchmark_call_surface_resolves():
         ("core", "from_bpa"),
         ("optimize", "min_entropy_bpa"),
         ("fusion", "proposed_combine"),
+        ("reference", "SongStages"),
     ],
 )
 def test_views_of_another_result_are_gone(module, name):
-    # Use point_body in the tests, entropy_bounds(...).m_min and
-    # proposed_combine_report(...).result instead.
+    # Use point_body in the tests, entropy_bounds(...).m_min,
+    # proposed_combine_report(...).result and the CombinationReport of
+    # song_combine_detail instead.
     assert name not in ivbel.__all__ and not hasattr(ivbel, name)
     assert not hasattr(importlib.import_module(f"ivbel.{module}"), name)
 

@@ -456,7 +456,8 @@ class TestCombine:
     def test_denoeux_reports_empty_mass(self, capsys):
         rc, out, _ = run(capsys, "combine", bundled("example5"), "--method", "denoeux")
         assert rc == 0
-        assert "mass on the empty set before renormalization" in out
+        # The empty-set mass before renormalization, an interval here.
+        assert "conflict fold: K in [0.2500, 0.6300]" in out
 
     @pytest.mark.parametrize("name", ["example31", "example33"])
     def test_denoeux_on_point_valued_bodies(self, capsys, name):
@@ -471,12 +472,13 @@ class TestCombine:
     def test_song_reports_pignistic_stage(self, capsys):
         rc, out, _ = run(capsys, "combine", bundled("example5"), "--method", "song")
         assert rc == 0
-        assert "pignistic m1:" in out and "pignistic m2:" in out
+        assert "body1.pignistic:" in out and "body2.pignistic:" in out
+        assert "\nfold: {A1} [" in out
 
     def test_dempster_on_degenerate_bodies(self, capsys):
         rc, out, _ = run(capsys, "combine", bundled("example33"), "--method", "dempster")
         assert rc == 0
-        assert "cumulative conflict: K = 0.6500" in out
+        assert "conflict fold: K = 0.6500" in out
 
     @pytest.mark.parametrize(
         "method, m1, m2",
@@ -539,7 +541,7 @@ class TestCombine:
     def test_dempster_rejects_interval_bodies(self, capsys):
         rc, _, err = run(capsys, "combine", bundled("example4"), "--method", "dempster")
         assert rc == 2
-        assert "needs point-valued evidence" in err and "'m1'" in err
+        assert "needs point-valued evidence" in err and "body 1 has interval bounds" in err
 
     def test_single_body_rejected(self, capsys, one_body):
         rc, _, err = run(capsys, "combine", one_body, "--method", "wang")

@@ -38,7 +38,6 @@ from ivbel.core import (
 )
 
 from helpers import (
-    FRAME3,
     KERNEL_FRAMES,
     bel_oracle,
     pignistic_oracle,

@@ -1,7 +1,6 @@
 """Evidence and result serialization, schema errors, and text rendering."""
 
 import json
-import random
 
 import pytest
 
@@ -17,9 +16,7 @@ from ivbel import (
     result_to_json,
 )
 from ivbel.formats import render_csv, render_intervals_table, render_table
-from ivbel.reproduce import TARGETS, load_bundled
-
-from helpers import FRAME3, random_valid_ibs
+from ivbel.reproduce import load_bundled
 
 
 def minimal(**overrides):

@@ -11,14 +11,23 @@ from ivbel import (
     SEPARABLE_MEASURE_IDS,
     Bpa,
     Frame,
+    IntervalMassResult,
     IvbelError,
     TotalConflictError,
+    combine,
+    degenerate_bpa,
     dempster_combine,
     dempster_combine_n,
+    denoeux_combine,
+    denoeux_normalize,
+    leezhu_combine,
     normalize,
     proposed_combine_report,
+    song_combine,
+    wang_combine,
 )
 from ivbel.core import MASS_DROP_EPS
+from ivbel.formats import METHODS
 from ivbel.reproduce import load_bundled
 
 from helpers import FRAME3, random_bpa, random_normalized_ibs, random_valid_ibs
@@ -172,7 +181,7 @@ class TestProposedCombine:
         ev = load_bundled("example4")
         bodies = [normalize(ibs) for _, ibs in ev.bodies]
         rep = proposed_combine_report(bodies, "pal")
-        labels = [name for name, _ in rep.intermediate_bpas]
+        labels = [name for name, _ in rep.stages]
         assert labels == [
             "body1.max",
             "body1.min",
@@ -182,7 +191,9 @@ class TestProposedCombine:
             "fold.min",
         ]
         # Every focal set here contains A1, so neither fold sees conflict.
-        assert rep.conflicts == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert [label for label, _, _ in rep.conflicts] == ["fold.max", "fold.min"]
+        for _, lo, hi in rep.conflicts:
+            assert lo == hi == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_single_body(self):
         ev = load_bundled("example4")
@@ -241,9 +252,61 @@ class TestProposedCombine:
             rep = proposed_combine_report(bodies, "pal")
         except TotalConflictError:
             return
-        stage = dict(rep.intermediate_bpas)
+        stage = dict(rep.stages)
+        # Each fold's conflict is a point: the K of its Dempster fold.
+        conflicts = {label: (lo, hi) for label, lo, hi in rep.conflicts}
+        for kind in ("max", "min"):
+            k = dempster_combine_n([stage[f"body1.{kind}"], stage[f"body2.{kind}"]])[1]
+            assert conflicts[f"fold.{kind}"] == (k, k)
         for fs, lo, hi in rep.result.entries:
             a = stage["fold.max"].mass(fs)
             b = stage["fold.min"].mass(fs)
             assert lo == pytest.approx(min(a, b), abs=1e-12)
             assert hi == pytest.approx(max(a, b), abs=1e-12)
+
+
+def _dempster_kernel(bodies):
+    combined, _ = dempster_combine_n([degenerate_bpa(b) for b in bodies])
+    return IntervalMassResult(combined.frame, tuple((fs, m, m) for fs, m in combined.entries))
+
+
+# Each method's kernel call, on the bodies the command line hands to combine.
+KERNELS = {
+    "proposed": lambda bodies: proposed_combine_report(bodies, "pal").result,
+    "wang": wang_combine,
+    "denoeux": lambda bodies: denoeux_normalize(denoeux_combine(*bodies)),
+    "leezhu": lambda bodies: leezhu_combine(*bodies, 2.0),
+    "song": song_combine,
+    "dempster": _dempster_kernel,
+}
+BUNDLED = ("example31", "example32", "example33", "example4", "example5", "example6")
+
+
+class TestCombine:
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_result_is_the_kernels(self, method, name):
+        raw = [body for _, body in load_bundled(name).bodies]
+        # As on the command line: leezhu combines the bodies as given.
+        bodies = raw if method == "leezhu" else [normalize(b) for b in raw]
+        if method == "dempster" and not all(b.is_degenerate() for b in bodies):
+            with pytest.raises(IvbelError, match="needs point-valued evidence"):
+                combine(method, bodies)
+            return
+        assert combine(method, bodies).result == KERNELS[method](bodies)
+
+    @pytest.mark.parametrize("method", ["denoeux", "leezhu"])
+    def test_two_body_engines_refuse_three(self, method):
+        bodies = [normalize(b) for _, b in load_bundled("example5").bodies]
+        with pytest.raises(IvbelError, match=f"^{method} combines exactly two bodies$"):
+            combine(method, bodies + bodies[:1])
+
+    def test_dempster_names_the_interval_body(self):
+        bodies = [normalize(b) for _, b in load_bundled("example4").bodies]
+        with pytest.raises(IvbelError, match="point-valued evidence .*; body 1 has interval bounds"):
+            combine("dempster", bodies)
+
+    def test_unknown_method_names_the_valid_ones(self):
+        bodies = [normalize(b) for _, b in load_bundled("example5").bodies]
+        with pytest.raises(IvbelError, match="unknown method 'yager'; expected one of proposed, "):
+            combine("yager", bodies)

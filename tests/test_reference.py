@@ -38,12 +38,10 @@ from ivbel.polytope import enumerate_vertices
 from ivbel.reproduce import load_bundled
 
 from helpers import (
-    FRAME3,
     leezhu_oracle,
     near_conflict_body,
     near_conflict_pair,
     point_body,
-    random_bpa,
     random_normalized_ibs,
     random_point_in,
 )
@@ -589,18 +587,22 @@ class TestSong:
 
     def test_stage_trail_shapes(self):
         ev = load_bundled("example5")
-        det = song_combine_detail([ibs for _, ibs in ev.bodies])
-        assert len(det.normalized_bodies) == 2
-        assert len(det.pignistic_bodies) == 2
-        assert len(det.ifs_bodies) == 2
-        assert len(det.combined_ifs) == 3
-        # mu = lower pignistic bound, gamma = one minus upper.
-        for body, elements in zip(det.pignistic_bodies, det.ifs_bodies):
-            for element in elements:
-                a, b = body.interval(element.target)
-                assert element.mu == pytest.approx(a, abs=1e-12)
-                assert element.gamma == pytest.approx(1.0 - b, abs=1e-12)
-        assert det.result.normalized
+        rep = song_combine_detail([ibs for _, ibs in ev.bodies])
+        labels = [label for label, _ in rep.stages]
+        assert labels == ["body1.pignistic", "body2.pignistic", "fold"]
+        stage = dict(rep.stages)
+        pig1, pig2 = stage["body1.pignistic"], stage["body2.pignistic"]
+        assert len(pig1.entries) == len(pig2.entries) == 3
+        # mu = lower pignistic bound, gamma = one minus upper; the fold maps
+        # the combined assessment back to [mu, 1 - gamma].
+        fold = stage["fold"]
+        assert fold.focal_sets == pig1.focal_sets
+        for (s, a1, b1), (_, a2, b2) in zip(pig1.entries, pig2.entries):
+            e = ifs_combine(IfsElement(s, a1, 1.0 - b1), IfsElement(s, a2, 1.0 - b2))
+            lo, hi = fold.interval(s)
+            assert lo == pytest.approx(e.mu, abs=1e-12)
+            assert hi == pytest.approx(1.0 - e.gamma, abs=1e-12)
+        assert rep.result.normalized
 
     def test_two_bodies_required(self):
         ev = load_bundled("example5")
