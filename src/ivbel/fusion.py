@@ -189,9 +189,7 @@ def combine(
     ``leezhu``; the other engines ignore both.  ``denoeux`` and ``leezhu``
     take exactly two bodies, and ``dempster`` only point-valued ones.
     """
-    # reference imports this module; it is read as a module so that a tracer
-    # that rebinds its functions times these calls too.
-    from . import reference
+    from . import reference  # imported here because reference imports this module
 
     if method not in METHODS:
         raise IvbelError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
