@@ -3,20 +3,26 @@
 The BPAs compatible with a structure form a polytope: the box given by the
 per-entry bounds cut by the plane where masses sum to one.  Every vertex of
 that polytope has at most one coordinate strictly between its bounds, so the
-vertices are found by one depth-first tree over the coordinates in index
-order: each is set to its lower bound, its upper bound or, once per path,
-left free to absorb the residual.  Branches whose partial sum can no longer
-leave an accepted residual are pruned, so the cost grows with the vertices
-returned rather than with the n * 2**(n-1) bound patterns.
+vertices are found by one depth-first tree over the coordinates: each is set
+to its lower bound, its upper bound or, once per path, left free to absorb
+the residual.  Branches whose partial sum can no longer leave an accepted
+residual are pruned, so the cost grows with the vertices returned rather
+than with the n * 2**(n-1) bound patterns.
 
 Given a separable concave objective, the same tree cuts every branch that
 cannot tie the minimum (Falk and Soland's branch and bound, Management
 Science 1969): each open coordinate's term is bounded below by its secant
 over its bounds, and the least value of that linear sum over the branch's
-part of the polytope is a greedy fill in slope order.  Each node's children
-are visited toward the vertex that minimizes the secant sum over the whole
-polytope first, so the first leaf is a good incumbent and cuts start near
-the root.
+part of the polytope is a greedy fill in slope order.  The tree then
+branches on the coordinates in that order, as Horowitz and Sahni's
+depth-first knapsack search takes items by ratio (J. ACM 1974), so a
+branch's open coordinates are its free one, whose slope is least, and the
+ones after it in the order: the fill walks that suffix and stops when the
+mass runs out.  Each node's children are visited toward the vertex that
+minimizes the secant sum over the whole polytope first, so the first leaf is
+a good incumbent and cuts start near the root.  A leaf whose value, summed
+plainly from its path, is above the cut is skipped before the dedupe and the
+exact score.  Without an objective the tree keeps index order.
 """
 
 from __future__ import annotations
@@ -30,25 +36,29 @@ from .entropy import _xlog2, entropy_from_profile
 
 __all__ = ["MAX_VERTEX_DIM", "MIN_TIE_TOL", "enumerate_vertices", "contains"]
 
-# Refuse enumeration above this many focal sets.  The pruned search costs time
-# per vertex, so this caps n rather than a candidate count; the vertex count
-# itself can still grow as C(n, n/2), and a budget on the work actually done
-# is meant to replace this cap.
+# Refuse enumeration above this many focal sets.  The full enumeration costs
+# time per vertex, and the search for a minimum per node it cannot cut, so
+# this caps n rather than a count of either; both still grow as C(n, n/2) on
+# equal and near-equal boxes, and a budget on the work actually done is meant
+# to replace this cap.
 MAX_VERTEX_DIM = 24
 _DEDUPE_DECIMALS = 12
 # The search prunes against the acceptance window (MASS_SUM_TOL beyond each
 # bound) widened by this much more on each side: partial sums are plain float
-# sums while the leaf test uses math.fsum, so pruning at the acceptance window
+# sums while the acceptance test uses math.fsum, so pruning at the acceptance window
 # itself could cut a pattern the leaf test accepts.
 _PRUNE_SLACK = 1e-7
 # Vertices whose objective value is at most the least one plus this tie, and
 # the lexicographically first is the witness.  The rule reads only the least
 # value, not the visiting order, so a search that skips vertices keeps it.
 MIN_TIE_TOL = 1e-10
-# A branch is cut when its bound exceeds the best value found plus
-# MIN_TIE_TOL plus this, which covers the rounding of a plainly summed bound
-# (about 1e-14) and the spread in value between float copies of one vertex
-# that the dedupe merges (up to about 1e-9 where coordinates are near zero).
+# A branch or a leaf is cut when its bound exceeds the best value found plus
+# MIN_TIE_TOL plus this times the objective's scale, max(1, sum |term at lo| +
+# sum |rise over the box|).  Two errors grow with |k| and beta, and the scale
+# covers both: the rounding of a plainly summed bound or leaf value (about
+# 1e-16 of the scale per term) and the spread in value between float copies
+# of one vertex that the dedupe merges (up to about 1e-9 of it where
+# coordinates are near zero).  Unscaled, |k| = 1e9 spreads copies by 6e-8.
 _BOUND_MARGIN = 1e-8
 
 # _greedy_linear: keys within _KEY_TIE_TOL form one group, and a residual or
@@ -87,29 +97,6 @@ def _greedy_linear(
     return tuple(m)
 
 
-def _secant_bound(base, extra, fill, depth, free) -> float:
-    """``base`` plus the least secant increment of the open coordinates
-    (``j >= depth``, or ``j == free``) sharing ``extra`` mass above their
-    lower bounds, give or take the pruning window: fill in slope order all
-    the mass the window allows while slopes are negative, then only what it
-    requires."""
-    window = MASS_SUM_TOL + _PRUNE_SLACK
-    target = extra + window
-    filled = 0.0
-    for slope, width, j in fill:
-        if j < depth and j != free:
-            continue
-        if slope >= 0.0:
-            target = extra - window
-        room = target - filled
-        if room <= 0.0:
-            break
-        take = width if width < room else room
-        base += slope * take
-        filled += take
-    return base
-
-
 def enumerate_vertices(
     ibs: IntervalBeliefStructure,
     profile: Sequence[tuple[float, float]] | None = None,
@@ -133,16 +120,8 @@ def enumerate_vertices(
             f"vertex enumeration refused: {n} focal sets (max {MAX_VERTEX_DIM})"
         )
     lo, hi = ibs.lower_bounds, ibs.upper_bounds
-    # rest_lo[d] and rest_hi[d] sum the bounds after d, from the last one back.
-    rest_lo = list(accumulate(lo[:0:-1], initial=0.0))[::-1]
-    rest_hi = list(accumulate(hi[:0:-1], initial=0.0))[::-1]
-    # With free coordinate f, or f = n (bounds 0) while none is free yet, a
-    # sum s of the values up to d can still lead to an accepted residual only
-    # if s + rest_lo[d] <= most[f] and s + rest_hi[d] >= least[f].
-    lo_f = (*lo, 0.0)
-    most = [1.0 - l + MASS_SUM_TOL + _PRUNE_SLACK for l in lo_f]
-    least = [1.0 - h - MASS_SUM_TOL - _PRUNE_SLACK for h in (*hi, 0.0)]
     found: dict[tuple[float, ...], tuple[int, tuple[float, ...]]] = {}
+    order = list(range(n))  # order[d]: the coordinate branched on at depth d
     lead = [2] * n
     bounded = profile is not None
     if bounded:
@@ -152,7 +131,10 @@ def enumerate_vertices(
         lift = [m * k - beta * _xlog2(m) - a for m, (k, beta), a in zip(hi, profile, phi_lo)]
         width = [h - l for l, h in zip(lo, hi)]
         slope = [b / w if w > 0.0 else 0.0 for b, w in zip(lift, width)]
-        fill = sorted(zip(slope, width, range(n)))
+        # Branch in slope order, ties by width, then index.
+        order.sort(key=lambda i: (slope[i], width[i], i))
+        lo, hi, lift, slope, width = ([x[i] for i in order] for x in (lo, hi, lift, slope, width))
+        fill = list(zip(slope, width))
         # Lead to the vertex minimizing the secant sum first, so the first
         # leaf is a good incumbent and cuts start near the root.
         lead = [
@@ -162,19 +144,32 @@ def enumerate_vertices(
         # lifted[d]: every term at lo plus the lifts of the path's bounds at hi.
         lifted = [math.fsum(phi_lo)] * (n + 1)
         scores: dict[tuple[float, ...], float] = {}
-        best = math.inf
-        cut = MIN_TIE_TOL + _BOUND_MARGIN
-    # Coordinate i tries (code, value) pairs: its lower bound (0), its upper
-    # bound (1) and, while none is free, being free (2), which the last one
-    # must be then; choices[i][1] holds all, lead[i] first, [0] the bounds.
+        cut = MIN_TIE_TOL + _BOUND_MARGIN * max(
+            1.0, math.fsum(map(abs, phi_lo)) + math.fsum(map(abs, lift))
+        )
+        limit = math.inf  # the least score found plus cut
+        window = MASS_SUM_TOL + _PRUNE_SLACK
+    # From here on, bounds and flags are indexed by depth; values by coordinate.
+    # rest_lo[d] and rest_hi[d] sum the bounds after d, from the last one back.
+    rest_lo = list(accumulate(lo[:0:-1], initial=0.0))[::-1]
+    rest_hi = list(accumulate(hi[:0:-1], initial=0.0))[::-1]
+    # With free depth f, or f = n (bounds 0) while none is free yet, a sum s
+    # of the values up to d can still lead to an accepted residual only if
+    # s + rest_lo[d] <= most[f] and s + rest_hi[d] >= least[f].
+    lo_f = (*lo, 0.0)
+    most = [1.0 - l + MASS_SUM_TOL + _PRUNE_SLACK for l in lo_f]
+    least = [1.0 - h - MASS_SUM_TOL - _PRUNE_SLACK for h in (*hi, 0.0)]
+    # Depth d tries (code, value) pairs: its lower bound (0), its upper bound
+    # (1) and, while none is free, being free (2), which the last one must be
+    # then; choices[d][1] holds all, lead[d] first, [0] the bounds.
     choices = []
-    for i, c in enumerate(lead):
-        order = sorted([(0, lo[i]), (1, hi[i]), (2, 0.0)], key=lambda x: x[0] != c)
-        choices.append(([x for x in order if x[0] < 2], order if i < n - 1 else [(2, 0.0)]))
+    for d, c in enumerate(lead):
+        tries = sorted([(0, lo[d]), (1, hi[d]), (2, 0.0)], key=lambda x: x[0] != c)
+        choices.append(([x for x in tries if x[0] < 2], tries if d < n - 1 else [(2, 0.0)]))
     values = [0.0] * n  # the path's bounds, 0.0 at the free coordinate
-    partial = [0.0] * n  # partial[d] sums values[:d]
+    partial = [0.0] * n  # partial[d] sums the values of depths before d
     options = [iter(choices[0][1])] * n  # options[d]: what d has left to try
-    d, free = 0, n  # free: the free coordinate before d, or n
+    d, free = 0, n  # free: the free depth before d, or n
     while d >= 0:
         choice, value = next(options[d], (-1, 0.0))
         if choice < 0:
@@ -188,11 +183,24 @@ def enumerate_vertices(
             continue
         if bounded:
             up = lifted[d] + lift[d] if choice == 1 else lifted[d]
+            # The secant fill of the open depths in slope order: the free
+            # one, whose slope is least, then those after d.  While slopes
+            # are negative it fills all the window allows, then what it needs.
             extra = 1.0 - t - rest_lo[d] - lo_f[f]
-            if _secant_bound(up, extra, fill, d + 1, f) > best + cut:
+            bound, filled, p = up, 0.0, f if f < n else d + 1
+            while p < n:
+                s, w = fill[p]
+                room = (extra + window if s < 0.0 else extra - window) - filled
+                if room <= 0.0:
+                    break
+                take = w if w < room else room
+                bound += s * take
+                filled += take
+                p = p + 1 if p > d else d + 1
+            if bound > limit:
                 continue
             lifted[d + 1] = up
-        values[d] = value
+        values[order[d]] = value
         if d < n - 1:
             d += 1
             partial[d] = t
@@ -209,6 +217,13 @@ def enumerate_vertices(
                 residual = lo[f]
             elif residual >= hi[f] - MASS_SUM_TOL:
                 residual = hi[f]
+            f = order[f]
+            if bounded:
+                # The leaf's value, summed plainly: a leaf above the cut
+                # cannot tie, so it skips the dedupe and the exact score.
+                k, beta = profile[f]
+                if up + residual * k - beta * _xlog2(residual) - phi_lo[f] > limit:
+                    continue
             values[f] = residual
             vec = tuple(values)
             values[f] = 0.0
@@ -223,7 +238,7 @@ def enumerate_vertices(
                 found[key] = (f, vec)
             if bounded:
                 scores[vec] = entropy_from_profile(vec, profile)
-                best = min(best, scores[vec])
+                limit = min(limit, scores[vec] + cut)
 
     if not found:
         raise IvbelError("structure has no feasible mass assignment")

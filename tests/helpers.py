@@ -157,6 +157,16 @@ def equal_boxes(n: int) -> IntervalBeliefStructure:
     )
 
 
+def near_equal_boxes(rng: random.Random, n: int, eps: float) -> IntervalBeliefStructure:
+    """``n`` singletons bounded by [0, 2/n + u_i], u_i uniform on [0, eps]:
+    :func:`equal_boxes` pulled apart, so the vertices no longer tie but
+    their values stay close and a bounded search cuts little."""
+    labels = tuple(f"E{i}" for i in range(n))
+    return IntervalBeliefStructure.from_mapping(
+        Frame(labels), {(label,): (0.0, 2.0 / n + rng.uniform(0.0, eps)) for label in labels}
+    )
+
+
 def near_conflict_pair(
     rng: random.Random,
 ) -> tuple[IntervalBeliefStructure, IntervalBeliefStructure]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbel import Frame, IntervalBeliefStructure, IvbelError, contains, enumerate_vertices, polytope
+from ivbel import FocalSet, Frame, IntervalBeliefStructure, IvbelError, contains, enumerate_vertices, polytope
 from ivbel.core import MASS_SUM_TOL
 from ivbel.entropy import entropy_from_profile, separable_profile
 from ivbel.polytope import MIN_TIE_TOL
@@ -18,6 +18,7 @@ from helpers import (
     brute_force_ties,
     brute_force_vertices,
     equal_boxes,
+    near_equal_boxes,
     random_aligned_ibs,
     random_box_ibs,
     random_normalized_ibs,
@@ -353,6 +354,93 @@ class TestObjectiveCut:
         ibs = self.body(FRAME3, bounds)
         assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
         assert len(enumerate_vertices(ibs, profile)) == ties
+
+
+class TestSlopeOrder:
+    """With an objective the tree branches in secant-slope order and skips a
+    leaf whose plainly summed value is above the cut; neither may change the
+    tie set or the copy kept.  The bodies are those where the order or the
+    cut is delicate: near-equal values, tied slopes, zero widths, and
+    objectives large enough that float copies of one vertex differ in value
+    by more than MIN_TIE_TOL."""
+
+    @staticmethod
+    def draw_body(rng, kind, n):
+        if kind == "near-equal":
+            return near_equal_boxes(rng, n, rng.choice((1e-3, 1e-2)))
+        if kind == "generator":
+            return random_box_ibs(rng, n, rng.choice((0.4, 0.7)))
+        labels = tuple(f"E{i}" for i in range(n))
+        if kind == "zero-width":
+            # Point masses beside wide boxes; the last box takes any slack.
+            lows = [rng.uniform(0.0, 1.0 / n) for _ in labels]
+            his = [l if rng.random() < 0.4 else l + rng.uniform(0.0, 2.0 / n) for l in lows]
+            his[-1] = max(his[-1], 1.0 - math.fsum(lows[:-1]))
+        else:
+            # Tied slopes: every box is one of three, so equal profile terms
+            # give equal slopes.
+            lows, his = zip(*(rng.choice([(0.0, 0.25), (0.05, 0.3), (0.1, 0.1)]) for _ in labels))
+            lows, his = (0.0, *lows[1:]), (1.0, *his[1:])
+        return IntervalBeliefStructure.from_mapping(
+            Frame(labels), {(label,): b for label, b in zip(labels, zip(lows, his))}
+        )
+
+    @staticmethod
+    def profiles(rng, ibs):
+        n = len(ibs.entries)
+        for m in ("dubois-prade", "nguyen", "deng", "pal", "qin"):
+            yield separable_profile(m, ibs.focal_sets, ibs.frame)
+        for beta in (0.5, 3.0):
+            yield tuple((rng.uniform(0.0, 2.0), beta) for _ in range(n))
+        yield tuple((rng.uniform(-3.0, 3.0), rng.choice((0.0, 1.0))) for _ in range(n))
+        scale = 10 ** rng.uniform(3.0, 12.0)
+        yield tuple((scale * rng.uniform(-1.0, 1.0), rng.choice((0.0, 1.0))) for _ in range(n))
+
+    @pytest.mark.parametrize("kind", ["near-equal", "generator", "zero-width", "tied-slopes"])
+    def test_ties_equal_the_filtered_full_list(self, kind):
+        rng = random.Random(f"slope-order:{kind}")
+        for _ in range(25):
+            ibs = self.draw_body(rng, kind, rng.randint(4, 9))
+            for profile in self.profiles(rng, ibs):
+                assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+
+    @pytest.mark.parametrize("scale, beta", [(1e9, 0.0), (1e12, 1.0)])
+    def test_cut_margin_scales_with_the_objective(self, scale, beta):
+        # A and D are 5.6e-17 wide, so their bound patterns give copies of
+        # one vertex that differ in value by 6e-8 at scale 1e9: more than an
+        # absolute margin, so the preferred copy would be cut.
+        frame = Frame(("A", "B", "C", "D", "E"))
+        ibs = IntervalBeliefStructure(
+            frame,
+            tuple(
+                (FocalSet(bits), lo, hi)
+                for bits, lo, hi in [
+                    (11, 0.19999999999999996, 0.2),
+                    (16, 0.15000000000000002, 0.15000000000000002),
+                    (18, 0.25, 0.25),
+                    (25, 0.19999999999999996, 0.2),
+                    (26, 0.19999999999999996, 0.2),
+                    (31, 0.0, 0.0),
+                ]
+            ),
+        )
+        profile = tuple((scale * k, beta) for k in (-1.0, -1.0, 2.0, 0.5, 0.5, -1.0))
+        assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+
+    def test_leaves_above_the_cut_are_not_scored(self, monkeypatch):
+        # Near-equal boxes: the full list holds 252 vertices, of which 6 tie;
+        # a search that scores every leaf it reaches makes 1 260 exact scores.
+        ibs = near_equal_boxes(random.Random(3), 10, 1e-2)
+        profile = separable_profile("nguyen", ibs.focal_sets, ibs.frame)
+        scored = []
+
+        def recording(vec, profile):
+            scored.append(vec)
+            return entropy_from_profile(vec, profile)
+
+        monkeypatch.setattr(polytope, "entropy_from_profile", recording)
+        assert len(enumerate_vertices(ibs, profile)) == 6
+        assert len(scored) <= 20
 
 
 class TestLimitsAndContains:
