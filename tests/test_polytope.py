@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbel import FocalSet, Frame, IntervalBeliefStructure, IvbelError, contains, enumerate_vertices, polytope
+from ivbel import (
+    FocalSet,
+    Frame,
+    IntervalBeliefStructure,
+    IvbelError,
+    contains,
+    enumerate_vertices,
+    polytope,
+)
 from ivbel.core import MASS_SUM_TOL
 from ivbel.entropy import entropy_from_profile, separable_profile
 from ivbel.polytope import MIN_TIE_TOL
@@ -111,6 +119,20 @@ def _over_cap():
         sets[(labels[i], labels[i + 1])] = (0.0, 1.0)
     assert len(sets) == 31
     return IntervalBeliefStructure.from_mapping(Frame(labels), sets)
+
+
+def scored_vectors(monkeypatch, ibs, profile):
+    """The vectors the search for a minimum scores exactly, in order."""
+    scored = []
+
+    def recording(vec, profile):
+        scored.append(vec)
+        return entropy_from_profile(vec, profile)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "entropy_from_profile", recording)
+        enumerate_vertices(ibs, profile)
+    return scored
 
 
 class TestAgainstBruteForce:
@@ -292,26 +314,13 @@ class TestObjectiveCut:
             frame, {(label,): b for label, b in zip(frame.labels, bounds)}
         )
 
-    @staticmethod
-    def first_scored(monkeypatch, ibs, profile):
-        scored = []
-
-        def recording(vec, profile):
-            scored.append(vec)
-            return entropy_from_profile(vec, profile)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(polytope, "entropy_from_profile", recording)
-            enumerate_vertices(ibs, profile)
-        return scored[0]
-
     def test_lp_vertex_is_the_unique_minimizer(self, monkeypatch):
         # Linear terms: the LP vertex fills Y, the cheapest, to its bound.
         ibs = self.body(FRAME3, [(0.0, 1.0), (0.0, 1.0), (0.0, 0.5)])
         profile = ((0.3, 0.0), (0.1, 0.0), (0.2, 0.0))
         assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
         assert enumerate_vertices(ibs, profile) == ((0.0, 1.0, 0.0),)
-        assert self.first_scored(monkeypatch, ibs, profile) == (0.0, 1.0, 0.0)
+        assert scored_vectors(monkeypatch, ibs, profile)[0] == (0.0, 1.0, 0.0)
 
     def test_ties_above_the_lp_vertex_are_kept(self):
         # The LP vertex (1, 0, 0) is worth 0; the vertices with Y or Z at 1,
@@ -334,7 +343,7 @@ class TestObjectiveCut:
         assert 4e-11 < gap < 6e-11
         assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
         assert enumerate_vertices(ibs, profile) == (later, lp)
-        assert self.first_scored(monkeypatch, ibs, profile) == lp
+        assert scored_vectors(monkeypatch, ibs, profile)[0] == lp
 
     @pytest.mark.parametrize(
         "bounds, profile, ties",
@@ -432,15 +441,8 @@ class TestSlopeOrder:
         # a search that scores every leaf it reaches makes 1 260 exact scores.
         ibs = near_equal_boxes(random.Random(3), 10, 1e-2)
         profile = separable_profile("nguyen", ibs.focal_sets, ibs.frame)
-        scored = []
-
-        def recording(vec, profile):
-            scored.append(vec)
-            return entropy_from_profile(vec, profile)
-
-        monkeypatch.setattr(polytope, "entropy_from_profile", recording)
         assert len(enumerate_vertices(ibs, profile)) == 6
-        assert len(scored) <= 20
+        assert len(scored_vectors(monkeypatch, ibs, profile)) <= 20
 
 
 class TestLimitsAndContains:
