@@ -284,8 +284,8 @@ class _Entries(_Frozen):
 
     def __init__(self, frame: Frame, entries: Iterable[tuple]) -> None:
         entries = self._canonical(entries)
-        for entry in entries:
-            frame._check_subset(entry[0])
+        if entries:  # sorted by bits, so the last set reaches highest
+            frame._check_subset(entries[-1][0])
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "entries", entries)
 

@@ -156,8 +156,8 @@ def entropy(m: str | EntropyMeasure, b: Bpa) -> float:
     """Evaluate an uncertainty measure on a BPA."""
     m = measure(m)
     if m.separable:
-        profile = separable_profile(m, b.focal_sets, b.frame)
-        return entropy_from_profile((mass for _, mass in b.entries), profile)
+        sets, masses = zip(*b.entries)
+        return entropy_from_profile(masses, separable_profile(m, sets, b.frame))
     return m.evaluate(b)
 
 
@@ -173,13 +173,15 @@ def separable_profile(
     m = measure(m)
     if not m.separable:
         raise IvbelError(f"unsupported objective: measure {m.id!r} is not separable")
-    profile = tuple((m.weight(fs, frame), m.beta) for fs in focal_sets)
-    for fs, (k, _) in zip(focal_sets, profile):
+    profile = []
+    for fs in focal_sets:
+        k = m.weight(fs, frame)
         if not math.isfinite(k):
             raise IvbelError(
                 f"measure {m.id!r} gives the non-finite weight {k!r} to {frame.format_set(fs)}"
             )
-    return profile
+        profile.append((k, m.beta))
+    return tuple(profile)
 
 
 def entropy_from_profile(

@@ -18,7 +18,6 @@ bounds over the feasible polytope are computed exactly:
 from __future__ import annotations
 
 import math
-from functools import cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -91,7 +90,13 @@ def water_fill(
         k = len(points) - (base + slope * points[-1] >= 1.0)
     # The estimate rounds differently from math.fsum, so step it to the first
     # point whose exact clamped sum reaches one; the test is monotone in c.
-    total = cache(lambda i: math.fsum(clamped(points[i])))
+    sums: dict[int, float] = {}
+
+    def total(i: int) -> float:
+        if i not in sums:
+            sums[i] = math.fsum(clamped(points[i]))
+        return sums[i]
+
     while k < len(points) and total(k) < 1.0:
         k += 1
     while k > 0 and total(k - 1) >= 1.0:

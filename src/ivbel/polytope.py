@@ -19,10 +19,13 @@ depth-first knapsack search takes items by ratio (J. ACM 1974), so a
 branch's open coordinates are its free one, whose slope is least, and the
 ones after it in the order: the fill walks that suffix and stops when the
 mass runs out.  Each node's children are visited toward the vertex that
-minimizes the secant sum over the whole polytope first, so the first leaf is
-a good incumbent and cuts start near the root.  A leaf whose value, summed
-plainly from its path, is above the cut is skipped before the dedupe and the
-exact score.  Without an objective the tree keeps index order.
+minimizes the secant sum over the whole polytope first, which that fill
+from the root gives: the widths that fit the mass above the lower bounds at
+their upper bounds, the next coordinate free, the rest at their lower
+bounds.  So the first leaf is a good incumbent, and cuts start near the
+root.  A leaf whose value, summed plainly from its path, is above the cut
+is skipped before the dedupe and the exact score.  Without an objective the
+tree keeps index order.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ MIN_TIE_TOL = 1e-10
 # coordinates are near zero).  Unscaled, |k| = 1e9 spreads copies by 6e-8.
 _BOUND_MARGIN = 1e-8
 
-# _greedy_linear: keys within _KEY_TIE_TOL form one group, and a residual or
-# headroom below _FILL_EPS counts as spent.  Neither is MASS_DROP_EPS: the
-# first compares objective keys, not masses, and the second must stay near
-# machine precision so linear-measure witnesses are exact to about 1e-16.
+# _greedy_linear groups keys within _KEY_TIE_TOL; it and the search's lead
+# take a residual or headroom below _FILL_EPS as spent.  Neither is
+# MASS_DROP_EPS: the first compares objective keys, not masses, and the second
+# must stay near machine precision so linear-measure witnesses are exact to about 1e-16.
 _KEY_TIE_TOL = 1e-12
 _FILL_EPS = 1e-15
 
@@ -122,7 +125,7 @@ def enumerate_vertices(
     lo, hi = ibs.lower_bounds, ibs.upper_bounds
     found: dict[tuple[float, ...], tuple[int, tuple[float, ...]]] = {}
     order = list(range(n))  # order[d]: the coordinate branched on at depth d
-    lead = [2] * n
+    lead, lift = [2] * n, [0.0] * n
     bounded = profile is not None
     if bounded:
         # Each term m*k - beta*m*log2(m) is concave, so its secant over
@@ -135,12 +138,12 @@ def enumerate_vertices(
         order.sort(key=lambda i: (slope[i], width[i], i))
         lo, hi, lift, slope, width = ([x[i] for i in order] for x in (lo, hi, lift, slope, width))
         fill = list(zip(slope, width))
-        # Lead to the vertex minimizing the secant sum first, so the first
-        # leaf is a good incumbent and cuts start near the root.
-        lead = [
-            1 if h - m <= _FILL_EPS else 2 if m - l > _FILL_EPS else 0
-            for l, h, m in zip(lo, hi, _greedy_linear(lo, hi, slope, descending=False))
-        ]
+        # Lead to the vertex minimizing the secant sum: widths that fit the mass
+        # above the lower bounds at hi, the next one free if mass is left, then lo.
+        lead, rest = [], 1.0 - math.fsum(lo)
+        for w in width:
+            lead.append(1 if w <= rest + _FILL_EPS else 2 if rest > _FILL_EPS else 0)
+            rest -= w
         # lifted[d]: every term at lo plus the lifts of the path's bounds at hi.
         lifted = [math.fsum(phi_lo)] * (n + 1)
         scores: dict[tuple[float, ...], float] = {}
@@ -159,19 +162,21 @@ def enumerate_vertices(
     lo_f = (*lo, 0.0)
     most = [1.0 - l + MASS_SUM_TOL + _PRUNE_SLACK for l in lo_f]
     least = [1.0 - h - MASS_SUM_TOL - _PRUNE_SLACK for h in (*hi, 0.0)]
-    # Depth d tries (code, value) pairs: its lower bound (0), its upper bound
-    # (1) and, while none is free, being free (2), which the last one must be
-    # then; choices[d][1] holds all, lead[d] first, [0] the bounds.
-    choices = []
+    # Depth d tries (code, value, rise): its lower bound (0), its upper bound
+    # (1, rising by lift[d]) and, while none is free, being free (2), which the
+    # last one must be then; choices[d][1] holds all, lead[d] first, [0] the bounds.
+    choices, loose = [], (2, 0.0, 0.0)
     for d, c in enumerate(lead):
-        tries = sorted([(0, lo[d]), (1, hi[d]), (2, 0.0)], key=lambda x: x[0] != c)
-        choices.append(([x for x in tries if x[0] < 2], tries if d < n - 1 else [(2, 0.0)]))
+        low, high = (0, lo[d], 0.0), (1, hi[d], lift[d])
+        tries = (high, low) if c == 1 else (low, high)
+        choices.append((tries, (loose, *tries) if c == 2 else (*tries, loose)))
+    choices[-1] = (choices[-1][0], (loose,))
     values = [0.0] * n  # the path's bounds, 0.0 at the free coordinate
     partial = [0.0] * n  # partial[d] sums the values of depths before d
     options = [iter(choices[0][1])] * n  # options[d]: what d has left to try
     d, free = 0, n  # free: the free depth before d, or n
     while d >= 0:
-        choice, value = next(options[d], (-1, 0.0))
+        choice, value, rise = next(options[d], (-1, 0.0, 0.0))
         if choice < 0:
             d -= 1
             if free == d:
@@ -182,7 +187,7 @@ def enumerate_vertices(
         if t + rest_lo[d] > most[f] or t + rest_hi[d] < least[f]:
             continue
         if bounded:
-            up = lifted[d] + lift[d] if choice == 1 else lifted[d]
+            up = lifted[d] + rise
             # The secant fill of the open depths in slope order: the free
             # one, whose slope is least, then those after d.  While slopes
             # are negative it fills all the window allows, then what it needs.

@@ -210,9 +210,17 @@ class TestBitKernels:
         b = Bpa(frame, ((frame.full_set, 1.0),))
         top = 1 << frame.size
         for bad in (FocalSet(top), FocalSet(top | 1), FocalSet(top << 20 | top - 1)):
+            # With several entries, in any input order, the message names the
+            # out-of-frame set with the highest bits: the last in canonical order.
+            sets = [bad, frame.full_set, *(FocalSet(x) for x in (top, top | 1) if x < bad.bits)]
+            share = 1.0 / len(sets)
             calls = (
                 lambda: Bpa(frame, ((bad, 1.0),)),
+                lambda: Bpa(frame, tuple((s, share) for s in sets)),
                 lambda: IntervalBeliefStructure(frame, ((bad, 0.0, 1.0),)),
+                lambda: IntervalBeliefStructure(frame, tuple((s, 0.0, 1.0) for s in sets)),
+                lambda: IntervalMassResult(frame, ((bad, 0.0, 1.0),)),
+                lambda: IntervalMassResult(frame, tuple((s, 0.0, share) for s in sets[::-1])),
                 lambda: bel(b, bad),
                 lambda: pl(b, bad),
                 lambda: frame.members(bad),

@@ -348,8 +348,8 @@ class TestObjectiveCut:
     @pytest.mark.parametrize(
         "bounds, profile, ties",
         [
-            # Tied slopes: the LP splits the mass between X and Y, so both
-            # lead with being free, and only one can be on a path.
+            # Tied slopes: X and Y share the least slope, and the LP fills X
+            # to its bound first, so X leads at hi and Y free.
             ([(0.0, 0.6), (0.0, 0.6), (0.0, 1.0)], ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0)), 2),
             # No coordinate partly filled: X and Y fill to their upper
             # bounds, so the LP vertex is reached with Z, the last, free.
@@ -363,6 +363,14 @@ class TestObjectiveCut:
         ibs = self.body(FRAME3, bounds)
         assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
         assert len(enumerate_vertices(ibs, profile)) == ties
+
+    def test_tied_slopes_lead_to_one_lp_vertex(self, monkeypatch):
+        # The fill in slope order puts X at its bound and leaves Y free, so
+        # the first leaf is the LP vertex (0.6, 0.4, 0), which ties with
+        # (0.4, 0.6, 0); every vertex with mass on Z is cut unscored.
+        ibs = self.body(FRAME3, [(0.0, 0.6), (0.0, 0.6), (0.0, 1.0)])
+        profile = ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0))
+        assert scored_vectors(monkeypatch, ibs, profile) == [(0.6, 0.4, 0.0), (0.4, 0.6, 0.0)]
 
 
 class TestSlopeOrder:
