@@ -284,7 +284,7 @@ class _Entries(_Frozen):
 
     def __init__(self, frame: Frame, entries: Iterable[tuple]) -> None:
         entries = self._canonical(entries)
-        if entries:  # sorted by bits, so the last set reaches highest
+        if entries:  # sorted by bits: if any set leaves the frame, the last does
             frame._check_subset(entries[-1][0])
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "entries", entries)

@@ -21,11 +21,11 @@ ones after it in the order: the fill walks that suffix and stops when the
 mass runs out.  Each node's children are visited toward the vertex that
 minimizes the secant sum over the whole polytope first, which that fill
 from the root gives: the widths that fit the mass above the lower bounds at
-their upper bounds, the next coordinate free, the rest at their lower
-bounds.  So the first leaf is a good incumbent, and cuts start near the
-root.  A leaf whose value, summed plainly from its path, is above the cut
-is skipped before the dedupe and the exact score.  Without an objective the
-tree keeps index order.
+their upper bounds, the next coordinate free if any mass is left, the rest
+at their lower bounds.  So the first leaf is a good incumbent, and cuts
+start near the root.  A leaf whose value, summed plainly from its path, is
+above the cut is skipped before the dedupe and the exact score.  Without an
+objective the tree keeps index order.
 """
 
 from __future__ import annotations
