@@ -45,9 +45,8 @@ _EXPORTS = {
     "optimize": ("EntropyBoundsSolution", "entropy_bounds", "max_entropy_bpa"),
     "polytope": ("contains", "enumerate_vertices"),
     "reference": (
-        "IfsElement", "denoeux_combine", "denoeux_normalize", "ifs_combine",
-        "interval_pignistic", "leezhu_combine", "song_combine", "song_combine_detail",
-        "wang_combine",
+        "denoeux_combine", "denoeux_normalize", "leezhu_combine", "song_combine",
+        "song_combine_detail", "wang_combine",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -115,7 +115,9 @@ def enumerate_vertices(
     ``beta >= 0`` (:func:`ivbel.entropy.separable_profile`), returns only the
     vertices whose :func:`ivbel.entropy.entropy_from_profile` value is at
     most the least one plus :data:`MIN_TIE_TOL`, as filtering the full list
-    would, and skips every branch that cannot hold one.
+    would, and skips every branch that cannot hold one.  Raises when the
+    profile has another length than ``ibs.entries``, a ``k`` that is not
+    finite, or a ``beta`` that is negative or not finite.
     """
     n = len(ibs.entries)
     if n > MAX_VERTEX_DIM:
@@ -128,6 +130,14 @@ def enumerate_vertices(
     lead, lift = [2] * n, [0.0] * n
     bounded = profile is not None
     if bounded:
+        if len(profile) != n:
+            raise IvbelError(f"profile has {len(profile)} entries, structure has {n}")
+        for (fs, _, _), (k, beta) in zip(ibs.entries, profile):
+            if not (math.isfinite(k) and math.isfinite(beta) and beta >= 0.0):
+                raise IvbelError(
+                    f"profile entry for {ibs.frame.format_set(fs)} needs a finite k and a "
+                    f"finite beta >= 0, got k={k}, beta={beta}"
+                )
         # Each term m*k - beta*m*log2(m) is concave, so its secant over
         # [lo, hi] lies below it there; lift is its rise over the interval.
         phi_lo = [m * k - beta * _xlog2(m) for m, (k, beta) in zip(lo, profile)]

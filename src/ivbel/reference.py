@@ -22,7 +22,6 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    MASS_DROP_EPS,
     MASS_SUM_TOL,
     FocalSet,
     IntervalBeliefStructure,
@@ -31,7 +30,6 @@ from .core import (
     NormalizationError,
     TotalConflictError,
     _check_bodies,
-    _Frozen,
     _pignistic_sums,
     normalize,
 )
@@ -43,9 +41,6 @@ __all__ = [
     "denoeux_combine",
     "denoeux_normalize",
     "wang_combine",
-    "IfsElement",
-    "ifs_combine",
-    "interval_pignistic",
     "song_combine",
     "song_combine_detail",
 ]
@@ -254,61 +249,24 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
 # Song (intuitionistic route)
 
 
-class IfsElement(_Frozen):
-    """An intuitionistic assessment of one singleton: membership ``mu``,
-    non-membership ``gamma``, hesitancy ``pi = 1 - mu - gamma``."""
-
-    _fields = ("target", "mu", "gamma")
-
-    def __init__(self, target: FocalSet, mu: float, gamma: float) -> None:
-        if target.cardinality != 1:
-            raise IvbelError("IFS element target must be a singleton")
-        # A NaN field makes the sum NaN, which fails the second comparison.
-        if not (min(mu, gamma) >= -MASS_DROP_EPS and mu + gamma <= 1.0 + MASS_SUM_TOL):
-            raise IvbelError(
-                f"IFS element requires mu, gamma >= 0 and mu + gamma <= 1, "
-                f"got mu={mu}, gamma={gamma}"
-            )
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def pi(self) -> float:
-        return max(0.0, 1.0 - self.mu - self.gamma)
-
-
-def ifs_combine(e1: IfsElement, e2: IfsElement) -> IfsElement:
-    """Combine two intuitionistic assessments of the same singleton.
+def _ifs_fold(e1: tuple[float, float], e2: tuple[float, float]) -> tuple[float, float]:
+    """Combine two intuitionistic assessments ``(mu, gamma)`` of one singleton.
 
     This is Dempster's rule, run by ``fusion``'s kernel, on a two-element
-    frame with masses ``(mu, gamma, pi)`` on (yes, no, either); it is
-    therefore commutative and associative.
+    frame with masses ``(mu, gamma, pi)`` on (yes, no, either), where the
+    hesitancy ``pi = 1 - mu - gamma`` is clamped at 0; it is therefore
+    commutative and associative.
     """
-    if e1.target != e2.target:
-        raise IvbelError("IFS elements must assess the same singleton")
+    (mu1, gamma1), (mu2, gamma2) = e1, e2
     # Bits 1, 2, 3 are yes, no, either; key 0 holds the conflict.
     masses = _products(
-        ((1, e1.mu), (2, e1.gamma), (3, e1.pi)), ((1, e2.mu), (2, e2.gamma), (3, e2.pi))
+        ((1, mu1), (2, gamma1), (3, max(0.0, 1.0 - mu1 - gamma1))),
+        ((1, mu2), (2, gamma2), (3, max(0.0, 1.0 - mu2 - gamma2))),
     )
     surviving = _surviving_mass(masses)
     if not surviving:
         raise TotalConflictError("IFS total conflict")
-    return IfsElement(e1.target, masses.get(1, 0.0) / surviving, masses.get(2, 0.0) / surviving)
-
-
-def interval_pignistic(ibs: IntervalBeliefStructure) -> IntervalBeliefStructure:
-    """Per-singleton pignistic bounds, normalized.
-
-    Each bound spreads the corresponding mass bound uniformly over the
-    focal set's elements; the resulting per-singleton intervals are then
-    normalized so every bound is attainable.
-    """
-    frame = ibs.frame
-    lows = _pignistic_sums(frame, ((fs, lo) for fs, lo, _ in ibs.entries))
-    highs = _pignistic_sums(frame, ((fs, hi) for fs, _, hi in ibs.entries))
-    entries = tuple((FocalSet(bits), lows[bits], min(1.0, highs[bits])) for bits in lows)
-    return normalize(IntervalBeliefStructure(frame, entries))
+    return masses.get(1, 0.0) / surviving, masses.get(2, 0.0) / surviving
 
 
 def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> CombinationReport:
@@ -319,22 +277,26 @@ def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> Combinatio
     ``gamma = 1 - b`` -> fold assessments across bodies -> back to
     intervals ``[mu, 1 - gamma]`` -> final normalization.
 
-    The report's stages are each ``body<i>.pignistic`` and ``fold``, the
-    back-transformed intervals before the final normalization; its
-    ``result`` is the normalized output (singletons only).
+    Each pignistic bound spreads the corresponding mass bound uniformly
+    over the focal set's elements, and the per-singleton intervals are
+    normalized so every bound is attainable.  The report's stages are each
+    ``body<i>.pignistic`` and ``fold``, the back-transformed intervals before
+    the final normalization; its ``result`` is the normalized output.
     """
     _check_bodies(bodies, normalized=False)
     frame = bodies[0].frame
-    stages = [
-        (f"body{idx}.pignistic", interval_pignistic(normalize(body)))
-        for idx, body in enumerate(bodies, start=1)
-    ]
+    stages = []
+    for idx, body in enumerate(map(normalize, bodies), start=1):
+        lows = _pignistic_sums(frame, ((fs, lo) for fs, lo, _ in body.entries))
+        highs = _pignistic_sums(frame, ((fs, hi) for fs, _, hi in body.entries))
+        pig = tuple((FocalSet(bits), lows[bits], min(1.0, highs[bits])) for bits in lows)
+        stages.append((f"body{idx}.pignistic", normalize(IntervalBeliefStructure(frame, pig))))
     entries = []
     # Each pignistic body holds every singleton, in frame order.
     for column in zip(*(body.entries for _, body in stages)):
-        e = functools.reduce(ifs_combine, (IfsElement(s, a, 1.0 - b) for s, a, b in column))
+        mu, gamma = functools.reduce(_ifs_fold, ((a, 1.0 - b) for _, a, b in column))
         # 1 - gamma can undershoot mu by a few ulps when the hesitancy is zero.
-        entries.append((e.target, min(e.mu, 1.0 - e.gamma), 1.0 - e.gamma))
+        entries.append((column[0][0], min(mu, 1.0 - gamma), 1.0 - gamma))
     fold = IntervalBeliefStructure(frame, entries)
     stages.append(("fold", fold))
     return CombinationReport(IntervalMassResult(frame, normalize(fold).entries), tuple(stages))

@@ -14,7 +14,6 @@ from ivbel import (
     Bpa,
     EvidenceFile,
     Frame,
-    IfsElement,
     IntervalBeliefStructure,
     IntervalMassResult,
     measure,
@@ -46,7 +45,6 @@ def _public_values():
         "entropy_bounds": ivbel.entropy_bounds(IBS, "pal"),
         "combination_report": ivbel.proposed_combine_report([IBS, IBS], "pal"),
         "song_stages": ivbel.song_combine_detail([IBS, IBS]),
-        "ifs_element": IfsElement(FRAME.singleton("A"), 0.2, 0.5),
         "target_report": reproduce("example4"),
     }
     values.update((f"measure_{mid}", measure(mid)) for mid in ivbel.MEASURE_IDS)
@@ -144,12 +142,16 @@ def test_the_benchmark_call_surface_resolves():
         ("optimize", "min_entropy_bpa"),
         ("fusion", "proposed_combine"),
         ("reference", "SongStages"),
+        ("reference", "IfsElement"),
+        ("reference", "ifs_combine"),
+        ("reference", "interval_pignistic"),
     ],
 )
 def test_views_of_another_result_are_gone(module, name):
     # Use point_body in the tests, entropy_bounds(...).m_min,
     # proposed_combine_report(...).result and the CombinationReport of
-    # song_combine_detail instead.
+    # song_combine_detail instead; its body<i>.pignistic stages hold the
+    # interval pignistic bodies, and its fold stage the folded assessments.
     assert name not in ivbel.__all__ and not hasattr(ivbel, name)
     assert not hasattr(importlib.import_module(f"ivbel.{module}"), name)
 

@@ -458,6 +458,29 @@ class TestLimitsAndContains:
         with pytest.raises(IvbelError, match="vertex enumeration refused: 31"):
             enumerate_vertices(_over_cap())
 
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            (((0.0, 1.0),) * 2, "profile has 2 entries, structure has 3"),
+            (((0.0, 1.0),) * 4, "profile has 4 entries, structure has 3"),
+            (((0.0, 1.0), (math.nan, 1.0), (0.0, 1.0)), r"entry for \{Y\} .* got k=nan, beta=1.0"),
+            (((0.0, 1.0), (0.0, 1.0), (-math.inf, 1.0)), r"entry for \{Z\} .* got k=-inf"),
+            (((0.0, -1.0), (0.0, -1.0), (0.0, -1.0)), r"entry for \{X\} .* got k=0.0, beta=-1.0"),
+            (((0.0, 1.0), (0.0, math.nan), (0.0, 1.0)), r"entry for \{Y\} .* beta=nan"),
+            (((0.0, 1.0), (0.0, 1.0), (0.0, math.inf)), r"entry for \{Z\} .* beta=inf"),
+        ],
+        ids=["short", "long", "nan-k", "infinite-k", "convex", "nan-beta", "infinite-beta"],
+    )
+    def test_malformed_profile(self, profile, message):
+        # A short profile used to raise IndexError, a long one was cut to
+        # length, a NaN weight emptied the tie set and a negative beta (a
+        # convex term) voided the secant bound.
+        ibs = IntervalBeliefStructure.from_mapping(
+            FRAME3, {("X",): (0.1, 0.5), ("Y",): (0.2, 0.6), ("Z",): (0.1, 0.4)}
+        )
+        with pytest.raises(IvbelError, match=message):
+            enumerate_vertices(ibs, profile)
+
     def test_contains(self):
         ibs = ibs2(0.2, 0.6, 0.3, 0.9)
         assert contains(ibs, (0.4, 0.6))

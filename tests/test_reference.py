@@ -14,17 +14,15 @@ from ivbel import (
     Bpa,
     FocalSet,
     Frame,
-    IfsElement,
     IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
     NormalizationError,
     TotalConflictError,
+    combine,
     dempster_combine,
     denoeux_combine,
     denoeux_normalize,
-    ifs_combine,
-    interval_pignistic,
     is_normalized,
     leezhu_combine,
     normalize,
@@ -35,6 +33,7 @@ from ivbel import (
 )
 from ivbel.core import MASS_SUM_TOL
 from ivbel.polytope import enumerate_vertices
+from ivbel.reference import _ifs_fold
 from ivbel.reproduce import load_bundled
 
 from helpers import (
@@ -42,6 +41,7 @@ from helpers import (
     near_conflict_body,
     near_conflict_pair,
     point_body,
+    random_box_ibs,
     random_normalized_ibs,
     random_point_in,
 )
@@ -462,30 +462,54 @@ class TestWang:
         assert total_lo <= 1.0 + 1e-9 <= total_hi + 2e-9
 
 
-class TestIfs:
-    def test_element_validation(self):
-        with pytest.raises(IvbelError, match="must be a singleton"):
-            IfsElement(FRAME.subset(("A", "B")), 0.5, 0.3)
-        for mu, gamma in [(0.7, 0.4), (math.nan, 0.2), (0.2, math.nan)]:
-            with pytest.raises(IvbelError, match=f"mu \\+ gamma <= 1, got mu={mu}, gamma={gamma}"):
-                IfsElement(FRAME.singleton("A"), mu, gamma)
-        assert IfsElement(FRAME.singleton("A"), 0.7, 0.3).pi == pytest.approx(
-            0.0, abs=1e-12
-        )
-        # Overshoot within tolerance clamps instead of going negative.
-        assert IfsElement(FRAME.singleton("A"), 0.7, 0.3 + 1e-10).pi == 0.0
+# (n, k, cases) past the reach of the vertex-tuple oracle.  Wang's scan sets
+# the cost: a case at (4, 4) costs about 25 at (5, 2), and one at (8, 2) about
+# 8 at (4, 4), so the first gets few cases and the second none.
+CHAIN_SIZES = [(5, 2, 19), (6, 2, 12), (4, 3, 14), (3, 4, 12), (4, 4, 3)]
 
-    def test_combine_requires_same_target(self):
-        a = IfsElement(FRAME.singleton("A"), 0.5, 0.3)
-        b = IfsElement(FRAME.singleton("B"), 0.5, 0.3)
-        with pytest.raises(IvbelError, match="same singleton"):
-            ifs_combine(a, b)
+
+def test_containment_chain_on_generated_bodies():
+    """For every target, proposed's interval lies inside Wang's, whose bounds
+    are the exact range of the Dempster fold over all feasible points; for
+    two bodies Wang's lies inside Denoeux's, which normalizes over the raw
+    box, a relaxation of the products' image."""
+    rng = random.Random("containment-chain")
+    tol = 1e-15
+    folds = 0
+    for n, k, cases in CHAIN_SIZES:
+        for _ in range(cases):
+            bodies = [random_box_ibs(rng, n, rng.choice((0.4, 0.7))) for _ in range(k)]
+            wang = combine("wang", bodies).result
+            for mid in ("pal", "nguyen"):
+                try:
+                    prop = combine("proposed", bodies, measure=mid).result
+                except TotalConflictError:
+                    continue  # the witnesses of one extreme conflict totally
+                folds += 1
+                assert prop.focal_sets == wang.focal_sets
+                for (fs, lo, hi), (_, w_lo, w_hi) in zip(prop.entries, wang.entries):
+                    assert w_lo - tol <= lo and hi <= w_hi + tol, (n, k, mid, fs)
+            if k == 2:
+                den = combine("denoeux", bodies).result
+                for fs, w_lo, w_hi in wang.entries:
+                    d_lo, d_hi = den.interval(fs)
+                    assert d_lo - tol <= w_lo and w_hi <= d_hi + tol, (n, k, fs)
+    assert folds >= 100
+
+
+class TestIfs:
+    """Song's fold of two assessments ``(mu, gamma)`` of one singleton."""
+
+    def test_hesitancy_clamps_at_zero(self):
+        # gamma overshoots 1 - mu by 1e-10, so the hesitancy 1 - mu - gamma
+        # clamps to 0 rather than adding a negative "either" mass.
+        mu, gamma = 0.7, 0.3 + 1e-10
+        surviving = math.fsum((mu, gamma))
+        assert _ifs_fold((mu, gamma), (0.0, 0.0)) == (mu / surviving, gamma / surviving)
 
     def test_total_conflict(self):
-        yes = IfsElement(FRAME.singleton("A"), 1.0, 0.0)
-        no = IfsElement(FRAME.singleton("A"), 0.0, 1.0)
         with pytest.raises(TotalConflictError, match="IFS total conflict"):
-            ifs_combine(yes, no)
+            _ifs_fold((1.0, 0.0), (0.0, 1.0))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -504,56 +528,47 @@ class TestIfs:
         frame = Frame(("yes", "no"))
         scale1 = max(1.0, a1 + g1)
         scale2 = max(1.0, a2 + g2)
-        e1 = IfsElement(FRAME.singleton("A"), a1 / scale1, g1 / scale1)
-        e2 = IfsElement(FRAME.singleton("A"), a2 / scale2, g2 / scale2)
+        e1 = (a1 / scale1, g1 / scale1)
+        e2 = (a2 / scale2, g2 / scale2)
+
+        def masses(e):
+            mu, gamma = e
+            return mu, gamma, max(0.0, 1.0 - mu - gamma)
 
         def as_bpa(e):
-            masses = {
-                ("yes",): e.mu,
-                ("no",): e.gamma,
-                ("yes", "no"): e.pi,
-            }
-            total = e.mu + e.gamma + e.pi
-            return Bpa.from_mapping(
-                frame, {k: v / total for k, v in masses.items() if v > 0.0}
-            )
+            mu, gamma, pi = masses(e)
+            total = mu + gamma + pi
+            pairs = {("yes",): mu, ("no",): gamma, ("yes", "no"): pi}
+            return Bpa.from_mapping(frame, {k: v / total for k, v in pairs.items() if v > 0.0})
 
         try:
-            folded = ifs_combine(e1, e2)
+            mu, gamma = _ifs_fold(e1, e2)
         except TotalConflictError:
             with pytest.raises(TotalConflictError):
                 dempster_combine(as_bpa(e1), as_bpa(e2))
             return
         combined, _ = dempster_combine(as_bpa(e1), as_bpa(e2))
-        assert combined.mass(frame.singleton("yes")) == pytest.approx(
-            folded.mu, abs=1e-9
-        )
-        assert combined.mass(frame.singleton("no")) == pytest.approx(
-            folded.gamma, abs=1e-9
-        )
-        (m1, n1, p1), (m2, n2, p2) = (
-            (Fraction(e.mu), Fraction(e.gamma), Fraction(e.pi)) for e in (e1, e2)
-        )
+        assert combined.mass(frame.singleton("yes")) == pytest.approx(mu, abs=1e-9)
+        assert combined.mass(frame.singleton("no")) == pytest.approx(gamma, abs=1e-9)
+        (m1, n1, p1), (m2, n2, p2) = (tuple(map(Fraction, masses(e))) for e in (e1, e2))
         yes = m1 * (m2 + p2) + p1 * m2
         no = n1 * (n2 + p2) + p1 * n2
         surviving = yes + no + p1 * p2
-        assert abs(folded.mu - yes / surviving) <= 1e-15
-        assert abs(folded.gamma - no / surviving) <= 1e-15
+        assert abs(mu - yes / surviving) <= 1e-15
+        assert abs(gamma - no / surviving) <= 1e-15
 
     def test_commutative(self):
-        e1 = IfsElement(FRAME.singleton("A"), 0.6, 0.2)
-        e2 = IfsElement(FRAME.singleton("A"), 0.3, 0.5)
-        left = ifs_combine(e1, e2)
-        right = ifs_combine(e2, e1)
-        assert left.mu == pytest.approx(right.mu, abs=1e-12)
-        assert left.gamma == pytest.approx(right.gamma, abs=1e-12)
+        left = _ifs_fold((0.6, 0.2), (0.3, 0.5))
+        right = _ifs_fold((0.3, 0.5), (0.6, 0.2))
+        assert left == pytest.approx(right, abs=1e-12)
 
 
 class TestSong:
     def test_interval_pignistic_hand_values(self):
         ev = load_bundled("example5")
         frame = ev.frame
-        pig = interval_pignistic(normalize(ev.bodies[0][1]))
+        rep = song_combine_detail([ibs for _, ibs in ev.bodies])
+        pig = dict(rep.stages)["body1.pignistic"]
         # Bounds spread each interval uniformly: e.g. hi(A1) = 0.4 + 0.4/3.
         assert pig.interval(frame.singleton("A1")) == pytest.approx(
             (0.2, 0.4 + 0.4 / 3), abs=1e-12
@@ -569,7 +584,7 @@ class TestSong:
         ibs = IntervalBeliefStructure.from_mapping(
             FRAME, {("A",): (0.2, 0.5), ("B",): (0.2, 0.5), ("C",): (0.2, 0.4)}
         )
-        pig = interval_pignistic(ibs)
+        pig = dict(song_combine_detail([ibs, ibs]).stages)["body1.pignistic"]
         norm = normalize(ibs)
         for fs, lo, hi in norm.entries:
             assert pig.interval(fs) == pytest.approx((lo, hi), abs=1e-12)
@@ -598,10 +613,10 @@ class TestSong:
         fold = stage["fold"]
         assert fold.focal_sets == pig1.focal_sets
         for (s, a1, b1), (_, a2, b2) in zip(pig1.entries, pig2.entries):
-            e = ifs_combine(IfsElement(s, a1, 1.0 - b1), IfsElement(s, a2, 1.0 - b2))
+            mu, gamma = _ifs_fold((a1, 1.0 - b1), (a2, 1.0 - b2))
             lo, hi = fold.interval(s)
-            assert lo == pytest.approx(e.mu, abs=1e-12)
-            assert hi == pytest.approx(1.0 - e.gamma, abs=1e-12)
+            assert lo == pytest.approx(mu, abs=1e-12)
+            assert hi == pytest.approx(1.0 - gamma, abs=1e-12)
         assert rep.result.normalized
 
     def test_two_bodies_required(self):

@@ -72,14 +72,13 @@ def _readers(path: Path, name: str) -> set[str]:
 
 def test_total_conflict_has_one_owner():
     # Song's fold, Denoeux's normalization, Dempster's rule and Wang's tuples
-    # decide total conflict through fusion._total_conflict; the only other
-    # reader is the IFS element's own input validation.
+    # decide total conflict through fusion._total_conflict, the one reader.
     readers = {
         f"{module}:{reader}"
         for module in ("fusion.py", "reference.py")
         for reader in _readers(SRC / module, "MASS_DROP_EPS")
     }
-    assert readers == {"fusion.py:_total_conflict", "reference.py:IfsElement.__init__"}
+    assert readers == {"fusion.py:_total_conflict"}
 
 
 def test_reproduce_reads_core_tolerances():
