@@ -30,6 +30,7 @@ from .core import (
     IntervalBeliefStructure,
     IntervalMassResult,
     IvbelError,
+    _check_bodies,
     degenerate_bpa,
     is_normalized,
     normalization_steps,
@@ -222,10 +223,9 @@ def cmd_combine(args: argparse.Namespace) -> int:
     w = 2.0 if args.w is None else args.w
 
     ev = load_evidence(args.file)
-    if len(ev.bodies) < 2:
-        return _fail("no evidence: need at least two bodies to combine")
     frame = ev.frame
     bodies = [body for _, body in ev.bodies]
+    _check_bodies(bodies, normalized=False)
     method_label = _method_label(args.method, measure=measure, w=w)
     lines = [f"frame: {frame.format_set(frame.full_set)} ({len(bodies)} bodies)"]
     lines.extend(f"  {name}: {_interval_cells(body)}" for name, body in ev.bodies)

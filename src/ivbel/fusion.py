@@ -186,13 +186,15 @@ def combine(
     given; normalizing them is the caller's choice.
 
     ``measure`` is the objective of ``proposed`` and ``w`` the order of
-    ``leezhu``; the other engines ignore both.  ``denoeux`` and ``leezhu``
-    take exactly two bodies, and ``dempster`` only point-valued ones.
+    ``leezhu``; the other engines ignore both.  Every engine takes two or
+    more bodies, ``denoeux`` and ``leezhu`` exactly two, and ``dempster``
+    only point-valued ones.
     """
     from . import reference  # imported here because reference imports this module
 
     if method not in METHODS:
         raise IvbelError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    _check_bodies(bodies, normalized=False)
     if method in ("denoeux", "leezhu") and len(bodies) != 2:
         raise IvbelError(f"{method} combines exactly two bodies")
     if method == "proposed":

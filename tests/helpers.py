@@ -1,12 +1,14 @@
-"""Seeded random generators, the brute-force vertex oracle, exact oracles
-for the entropy bounds (a weak-duality certificate for the maximum, the
-least vertex value for the minimum), and earlier forms of rewritten kernels,
+"""Seeded random generators (bodies, boundary-biased unit floats and fuzzed
+input files among them), the brute-force vertex oracle, exact oracles for
+the entropy bounds (a weak-duality certificate for the maximum, the least
+vertex value for the minimum), and earlier forms of rewritten kernels,
 shared by the unit and acceptance suites.  Pure Python: no numpy."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 from bisect import bisect_left
@@ -233,6 +235,74 @@ def random_point_in(
         sum(w * v[i] for w, v in zip(weights, vertices)) / total
         for i in range(len(ibs.entries))
     )
+
+
+def unit_float(rng: random.Random) -> float:
+    """A float in [0, 1] drawn toward the ends: 0, 1, ``1e-k``, ``1 - 1e-k``
+    (k = 1..16) or uniform, each a fifth of the time."""
+    kind = rng.randrange(5)
+    if kind < 2:
+        return float(kind)
+    if kind == 4:
+        return rng.random()
+    tiny = 10.0 ** -rng.randint(1, 16)
+    return tiny if kind == 2 else 1.0 - tiny
+
+
+# Characters of fuzzed text: ASCII, JSON's quote and escapes, control
+# characters, and letters and symbols from Latin-1 to the astral planes.
+_FUZZ_CHARS = "aZ09 _-.,:{}[]\"\\\n\t\x00\x7f\xe9λ☃中\U0001f600"
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randint(0, 8)))
+
+
+def _random_json_value(rng: random.Random, depth: int = 0):
+    """None, a bool, an int of up to 400 digits, a float (NaN, +-inf and -0.0
+    among them), text, or a list or dict of such values nested at most three
+    deep."""
+    kind = rng.randrange(7 if depth < 3 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 400))
+    if kind == 3:
+        return rng.choice((math.nan, math.inf, -math.inf, -0.0, 1.0, 5e-324, rng.random()))
+    if kind == 4:
+        return _fuzz_text(rng)
+    if kind == 5:
+        return [_random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {_fuzz_text(rng): _random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def _json_paths(value, path=()):
+    """The path of ``value`` and of every value nested in it, as key tuples."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_paths(child, (*path, key))
+
+
+def random_input_file(rng: random.Random, documents: tuple[str, ...]) -> bytes:
+    """The bytes of a fuzzed input file, one of three kinds alike: random
+    bytes, a :func:`_random_json_value`, or one of the JSON ``documents``
+    with one nested value replaced by a :func:`_random_json_value`."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randbytes(rng.randint(0, 64))
+    if kind == 1:
+        value = _random_json_value(rng)
+    else:
+        value = json.loads(rng.choice(documents))
+        *parents, last = rng.choice(list(_json_paths(value))[1:])
+        container = value
+        for key in parents:
+            container = container[key]
+        container[last] = _random_json_value(rng)
+    return json.dumps(value, ensure_ascii=rng.random() < 0.5).encode()
 
 
 def bound_patterns(lo, hi):

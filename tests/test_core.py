@@ -7,8 +7,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ivbel
 from ivbel import (
@@ -487,8 +485,7 @@ class TestNormalization:
         assert is_normalized(ibs)
         assert normalize(ibs) is ibs
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(60))
     def test_normalize_idempotent_and_tight(self, seed):
         rng = random.Random(seed)
         ibs = random_valid_ibs(rng)
@@ -500,8 +497,7 @@ class TestNormalization:
             assert lo1 == pytest.approx(lo2, abs=1e-12)
             assert hi1 == pytest.approx(hi2, abs=1e-12)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(60))
     def test_normalize_never_widens_valid_input(self, seed):
         rng = random.Random(seed)
         ibs = random_valid_ibs(rng)
@@ -511,8 +507,7 @@ class TestNormalization:
             assert lo2 >= lo - 1e-12
             assert hi2 <= hi + 1e-12
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(40))
     def test_degenerate_bpa_of_random_point(self, seed):
         rng = random.Random(seed)
         b = random_bpa(rng)

@@ -4,8 +4,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ivbel import (
     MEASURE_IDS,
@@ -91,8 +89,7 @@ class TestStructuralIdentities:
         # Plausibility transform of the vacuous BPA is uniform.
         assert entropy("jirousek-shenoy", vacuous) == pytest.approx(2 * log3)
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(50))
     def test_all_but_dubois_prade_collapse_to_shannon_on_bayesian(self, seed):
         rng = random.Random(seed)
         weights = [rng.expovariate(1.0) + 1e-3 for _ in range(3)]
@@ -114,14 +111,12 @@ class TestStructuralIdentities:
         b = Bpa.from_mapping(FRAME, {("A",): 0.4, ("B",): 0.1, ("A", "B", "C"): 0.5})
         assert entropy("qin", b) == pytest.approx(entropy("pal", b), abs=1e-12)
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(50))
     def test_yager_never_exceeds_hohle(self, seed):
         b = random_bpa(random.Random(seed))
         assert entropy("yager", b) <= entropy("hohle", b) + 1e-12
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(50))
     def test_profile_evaluation_matches_direct(self, seed):
         b = random_bpa(random.Random(seed))
         sets = tuple(fs for fs, _ in b.entries)

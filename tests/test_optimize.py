@@ -5,8 +5,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ivbel import (
     SEPARABLE_MEASURE_IDS,
@@ -116,8 +114,7 @@ class TestWaterFill:
         assert got == water_fill_oracle(lower, upper, weights)
         assert repr(got) == repr(water_fill_oracle(lower, upper, weights))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(60))
     def test_bit_identical_to_bisection_on_wide_bodies(self, seed):
         rng = random.Random(seed)
         ibs = random_box_ibs(rng, rng.randint(1, 31), rng.choice((0.0, 0.05, 0.4, 1.0)))
@@ -127,8 +124,7 @@ class TestWaterFill:
             weights = tuple(2.0**k for k in keys)
             assert water_fill(lower, upper, weights) == water_fill_oracle(lower, upper, weights)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(60))
     def test_kkt_certificate(self, seed):
         """Interior coordinates sit exactly at w*c; clamped ones would leave
         their bound if released."""
@@ -227,8 +223,7 @@ class TestBounds:
         # Lexicographic tie-break keeps the first vertex.
         assert tuple(m for _, m in sol.m_min.entries) == enumerate_vertices(ibs)[0]
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(40))
     def test_random_feasible_points_lie_inside_bounds(self, seed):
         rng = random.Random(seed)
         ibs = random_normalized_ibs(rng)
@@ -240,8 +235,7 @@ class TestBounds:
                 h = entropy_from_profile(random_point_in(rng, ibs), profile)
                 assert sol.h_min - 1e-9 <= h <= sol.h_max + 1e-9
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(25))
     def test_exact_oracle_agreement(self, seed):
         ibs = normalize(random_aligned_ibs(random.Random(seed), step=0.01))
         assert_oracle_bounds(ibs, SEPARABLE_MEASURE_IDS + CUSTOM_BETA)

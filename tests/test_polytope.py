@@ -5,8 +5,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ivbel import (
     FocalSet,
@@ -491,15 +489,13 @@ class TestLimitsAndContains:
 
 
 class TestVertexProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(60))
     def test_vertices_are_feasible(self, seed):
         ibs = random_valid_ibs(random.Random(seed))
         for vec in enumerate_vertices(ibs):
             assert contains(ibs, vec)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(60))
     def test_at_most_one_free_coordinate(self, seed):
         ibs = random_valid_ibs(random.Random(seed))
         lo, hi = ibs.lower_bounds, ibs.upper_bounds
@@ -511,15 +507,13 @@ class TestVertexProperties:
             )
             assert free <= 1
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(60))
     def test_vertex_sums_are_exactly_one(self, seed):
         ibs = random_valid_ibs(random.Random(seed))
         for vec in enumerate_vertices(ibs):
             assert math.fsum(vec) == pytest.approx(1.0, abs=1e-9)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("seed", range(40))
     def test_convex_combinations_feasible(self, seed):
         rng = random.Random(seed)
         ibs = random_valid_ibs(rng)
