@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, total_ordering
+from operator import lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -235,20 +236,24 @@ def _canonical_mass_entries(
     entries: Iterable[tuple[FocalSet, float]],
 ) -> tuple[tuple[FocalSet, float], ...]:
     """Sort by bit value, merge duplicates (keeping the first one's
-    :class:`FocalSet`), drop masses below the zero epsilon."""
-    merged: dict[int, float] = {}
-    sets: dict[int, FocalSet] = {}
-    for fs, mass in entries:
-        merged[fs.bits] = merged.get(fs.bits, 0.0) + float(mass)
-        sets.setdefault(fs.bits, fs)
+    :class:`FocalSet`), drop masses below the zero epsilon.  Entries already
+    strictly ascending in bits skip the merge."""
+    entries = tuple(entries)
+    bits = [fs.bits for fs, _ in entries]
+    if not all(map(lt, bits, bits[1:])):
+        merged: dict[int, float] = {}
+        sets: dict[int, FocalSet] = {}
+        for fs, mass in entries:
+            merged[fs.bits] = merged.get(fs.bits, 0.0) + float(mass)
+            sets.setdefault(fs.bits, fs)
+        entries = [(sets[b], merged[b]) for b in sorted(merged)]
     out = []
-    for bits in sorted(merged):
-        mass = merged[bits]
+    for fs, mass in entries:
+        mass = float(mass)
         if not mass >= -MASS_DROP_EPS:
-            raise IvbelError(f"negative or NaN mass {mass} for focal set {bits:#x}")
-        if mass <= MASS_DROP_EPS:
-            continue
-        out.append((sets[bits], mass))
+            raise IvbelError(f"negative or NaN mass {mass} for focal set {fs.bits:#x}")
+        if mass > MASS_DROP_EPS:
+            out.append((fs, mass))
     # Sorted by bits, so a kept empty set comes first.
     if out and out[0][0].is_empty:
         raise IvbelError("BPA cannot assign mass to the empty set")

@@ -173,15 +173,14 @@ def separable_profile(
     m = measure(m)
     if not m.separable:
         raise IvbelError(f"unsupported objective: measure {m.id!r} is not separable")
-    profile = []
-    for fs in focal_sets:
-        k = m.weight(fs, frame)
+    weight, beta = m.weight, m.beta
+    profile = tuple([(weight(fs, frame), beta) for fs in focal_sets])
+    for fs, (k, _) in zip(focal_sets, profile):
         if not math.isfinite(k):
             raise IvbelError(
                 f"measure {m.id!r} gives the non-finite weight {k!r} to {frame.format_set(fs)}"
             )
-        profile.append((k, m.beta))
-    return tuple(profile)
+    return profile
 
 
 def entropy_from_profile(

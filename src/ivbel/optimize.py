@@ -69,7 +69,11 @@ def water_fill(
         raise IvbelError("water filling requires sum(lo) <= 1 <= sum(hi)")
 
     def clamped(c: float) -> list[float]:
-        return [min(max(w * c, lo), hi) for lo, hi, w in zip(lower, upper, weights)]
+        # min(max(w * c, lo), hi) for lo <= hi, signed zeros included.
+        return [
+            lo if (x := w * c) < lo else hi if x > hi else x
+            for lo, hi, w in zip(lower, upper, weights)
+        ]
 
     # Past lo/w an entry is free and past hi/w clamped, so one sweep over the
     # stably sorted breakpoints (each point the first of its equal values, as
@@ -128,16 +132,17 @@ def _max_vec(
     meas: EntropyMeasure,
     profile: tuple[tuple[float, float], ...],
 ) -> tuple[float, ...]:
-    keys = tuple(k for k, _ in profile)
-    if meas.beta == 0.0:
+    keys = [k for k, _ in profile]
+    beta = meas.beta
+    if beta == 0.0:
         return _greedy_linear(ibs.lower_bounds, ibs.upper_bounds, keys, descending=True)
     try:
-        weights = tuple(2.0 ** (k / meas.beta) for k in keys)
+        weights = [2.0 ** (k / beta) for k in keys]
     except OverflowError:  # float ** raises where * and / give inf
         weights = (math.inf,)
     if not all(0.0 < w < math.inf for w in weights):
         raise IvbelError(
-            f"measure {meas.id!r} with beta = {meas.beta!r}: a water-fill weight"
+            f"measure {meas.id!r} with beta = {beta!r}: a water-fill weight"
             " 2**(k/beta) is not a positive finite float"
         )
     return water_fill(ibs.lower_bounds, ibs.upper_bounds, weights)[0]

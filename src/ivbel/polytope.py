@@ -175,10 +175,11 @@ def enumerate_vertices(
     # Depth d tries (code, value, rise): its lower bound (0), its upper bound
     # (1, rising by lift[d]) and, while none is free, being free (2), which the
     # last one must be then; choices[d][1] holds all, lead[d] first, [0] the bounds.
+    # A zero-width depth tries its bound once: at hi it gives the same floats.
     choices, loose = [], (2, 0.0, 0.0)
     for d, c in enumerate(lead):
         low, high = (0, lo[d], 0.0), (1, hi[d], lift[d])
-        tries = (high, low) if c == 1 else (low, high)
+        tries = (low,) if lo[d] == hi[d] else (high, low) if c == 1 else (low, high)
         choices.append((tries, (loose, *tries) if c == 2 else (*tries, loose)))
     choices[-1] = (choices[-1][0], (loose,))
     values = [0.0] * n  # the path's bounds, 0.0 at the free coordinate

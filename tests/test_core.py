@@ -29,6 +29,7 @@ from ivbel import (
     validate_ibs,
 )
 from ivbel.core import (
+    MASS_DROP_EPS,
     MASS_SUM_TOL,
     _rescale_proportionally,
     _tighten_bounds,
@@ -153,6 +154,79 @@ class TestBpa:
     def test_tiny_masses_dropped(self):
         b = Bpa.from_mapping(FRAME, {("A",): 1.0, ("B",): 1e-13})
         assert len(b.entries) == 1
+
+
+def _bpa_outcome(entries):
+    try:
+        return Bpa(FRAME, entries).entries
+    except IvbelError as exc:
+        return str(exc)
+
+
+class TestMergeSkip:
+    """Entries strictly ascending in bits skip the merge; any other order or
+    a repeated set runs it.  Both paths give the same entries or error."""
+
+    A, B, AB, C = FocalSet(0b1), FocalSet(0b10), FocalSet(0b11), FocalSet(0b100)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_shuffled_entries(self, seed):
+        rng = random.Random(seed)
+        sets = [FocalSet(bits) for bits in rng.sample(range(8), rng.randint(1, 7))]
+        masses = [rng.choice((0.0, 1e-13, 0.5, rng.random(), -1e-13, -0.1)) for _ in sets]
+        ascending = sorted(zip(sets, masses), key=lambda e: e[0].bits)
+        shuffled = rng.sample(ascending, len(ascending))
+        assert _bpa_outcome(ascending) == _bpa_outcome(shuffled)
+        assert _bpa_outcome(ascending) == _bpa_outcome(reversed(ascending))
+
+    @pytest.mark.parametrize(
+        "ascending, merged",
+        [
+            pytest.param(
+                ((A, 0.0 + 0.25 + 0.25), (B, 0.5)), ((A, 0.25), (B, 0.5), (A, 0.25)), id="repeated"
+            ),
+            pytest.param(
+                ((A, 0.0 + 0.25 + 0.25), (B, 0.5)),
+                ((A, 0.25), (A, 0.25), (B, 0.5)),
+                id="repeated-in-order",
+            ),
+            pytest.param(
+                ((A, 0.0 - 0.5 + 1.0), (B, 0.5)),
+                ((A, -0.5), (B, 0.5), (A, 1.0)),
+                id="negative-cancelled-later",
+            ),
+            pytest.param(((A, 1.0),), ((A, -0.5), (A, 1.5)), id="negative-cancelled-alone"),
+            pytest.param(
+                ((EMPTY_SET, 0.5), (A, 0.5)), ((A, 0.5), (EMPTY_SET, 0.5)), id="kept-empty-set"
+            ),
+            pytest.param(
+                ((EMPTY_SET, 1e-13), (A, 1.0)),
+                ((A, 1.0), (EMPTY_SET, 1e-13)),
+                id="dropped-empty-set",
+            ),
+            pytest.param(((A, math.nan), (C, 1.0)), ((C, 1.0), (A, math.nan)), id="nan"),
+            pytest.param(
+                ((A, 1.0), (AB, 1e-13), (C, MASS_DROP_EPS)),
+                ((C, MASS_DROP_EPS), (AB, 1e-13), (A, 1.0)),
+                id="tiny-dropped",
+            ),
+            pytest.param(((A, -0.1), (B, 1.1)), ((B, 1.1), (A, -0.1)), id="negative"),
+        ],
+    )
+    def test_same_result_or_error(self, ascending, merged):
+        assert repr(_bpa_outcome(merged)) == repr(_bpa_outcome(ascending))
+
+    def test_outcomes(self):
+        # What the cases above pin: errors name the first bad set in bit
+        # order, and a later duplicate merges before any mass is checked.
+        assert _bpa_outcome(((self.A, -0.5), (self.A, 1.5))) == ((self.A, 1.0),)
+        assert _bpa_outcome(((self.C, 1.0), (self.A, math.nan))) == (
+            "negative or NaN mass nan for focal set 0x1"
+        )
+        assert _bpa_outcome(((self.A, 0.5), (EMPTY_SET, 0.5))) == (
+            "BPA cannot assign mass to the empty set"
+        )
+        assert _bpa_outcome(((self.C, MASS_DROP_EPS), (self.A, 1.0))) == ((self.A, 1.0),)
 
     def test_all_zero_masses_rejected(self):
         with pytest.raises(IvbelError, match="at least one focal set with positive mass"):
@@ -553,7 +627,8 @@ def test_imports_load_only_what_runs():
     src = Path(ivbel.__file__).resolve().parents[1]
     data = src / "ivbel" / "data" / "example4.json"
     subprocess.run(
-        [sys.executable, "-c", _IMPORT_BOUNDARIES, str(data)],
+        # -B: the child's environment drops PYTHONDONTWRITEBYTECODE.
+        [sys.executable, "-B", "-c", _IMPORT_BOUNDARIES, str(data)],
         check=True,
         env={"PYTHONPATH": str(src)},
     )

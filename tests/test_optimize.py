@@ -143,6 +143,37 @@ class TestWaterFill:
             else:
                 assert free <= lo + 1e-7
 
+    def test_clamp_equals_min_max(self):
+        """The masses are min(max(w*c, lo), hi) at the returned level, signed
+        zeros included, where c lands on a breakpoint, a box has zero width
+        or a lower bound is 0.0 or -0.0."""
+        rng = random.Random("clamp")
+        seen = {"breakpoint": 0, "zero-width": 0, "zero-lo": 0}
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            grid = rng.random() < 0.5  # eighths and powers of two: exact crossings
+            if grid:
+                lower = [rng.choice((0.0, -0.0, 0.125, 0.25)) for _ in range(n)]
+                upper = [lo + rng.choice((0.0, 0.125, 0.5)) for lo in lower]
+                weights = [2.0 ** rng.randint(-2, 2) for _ in range(n)]
+            else:
+                lower = [rng.choice((0.0, -0.0, rng.uniform(0.0, 1.0 / n))) for _ in range(n)]
+                widths = [rng.choice((0.0, rng.uniform(0.0, 2.0 / n))) for _ in range(n)]
+                upper = [min(1.0, lo + width) for lo, width in zip(lower, widths)]
+                weights = [2.0 ** rng.uniform(-3.0, 3.0) for _ in range(n)]
+            if math.fsum(lower) > 1.0:
+                lower = [0.0] * n
+            if math.fsum(upper) < 1.0:
+                upper[-1] = 1.0
+            masses, c = water_fill(tuple(lower), tuple(upper), tuple(weights))
+            want = tuple(min(max(w * c, lo), hi) for lo, hi, w in zip(lower, upper, weights))
+            assert repr(masses) == repr(want)
+            points = {x / w for lo, hi, w in zip(lower, upper, weights) for x in (lo, hi)}
+            seen["breakpoint"] += c in points
+            seen["zero-width"] += any(lo == hi for lo, hi in zip(lower, upper))
+            seen["zero-lo"] += 0.0 in lower
+        assert min(seen.values()) >= 50, seen
+
 
 class TestLinearGreedy:
     """dubois-prade has beta=0: extrema come from greedy residual filling."""

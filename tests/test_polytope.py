@@ -7,16 +7,18 @@ import random
 import pytest
 
 from ivbel import (
+    SEPARABLE_MEASURE_IDS,
     FocalSet,
     Frame,
     IntervalBeliefStructure,
     IvbelError,
     contains,
     enumerate_vertices,
+    normalize,
     polytope,
 )
 from ivbel.core import MASS_SUM_TOL
-from ivbel.entropy import entropy_from_profile, separable_profile
+from ivbel.entropy import _xlog2, entropy_from_profile, separable_profile
 from ivbel.polytope import MIN_TIE_TOL
 
 from helpers import (
@@ -131,6 +133,22 @@ def scored_vectors(monkeypatch, ibs, profile):
         patch.setattr(polytope, "entropy_from_profile", recording)
         enumerate_vertices(ibs, profile)
     return scored
+
+
+def leaves_reached(monkeypatch, ibs, profile):
+    """The leaves with an accepted residual that the search for a minimum
+    reaches: it takes _xlog2 of each one's free value, after two calls per
+    coordinate to set up its secants."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return _xlog2(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_xlog2", counting)
+        enumerate_vertices(ibs, profile)
+    return len(calls) - 2 * len(ibs.entries)
 
 
 class TestAgainstBruteForce:
@@ -449,6 +467,46 @@ class TestSlopeOrder:
         profile = separable_profile("nguyen", ibs.focal_sets, ibs.frame)
         assert len(enumerate_vertices(ibs, profile)) == 6
         assert len(scored_vectors(monkeypatch, ibs, profile)) <= 20
+
+
+class TestZeroWidth:
+    """A depth whose bounds are equal tries its lower bound only, since its
+    upper bound gives the same floats; it may still be the free one.  Widths
+    above zero, 1e-13 included, still branch."""
+
+    @staticmethod
+    def body(rng, n, zero_share):
+        # Boxes around one random point, so every body is feasible.
+        bounds = []
+        weights = [rng.expovariate(1.0) for _ in range(n)]
+        total = sum(weights)
+        for bits, w in zip(rng.sample(range(1, 32), n), weights):
+            m = w / total
+            width = 0.0 if rng.random() < zero_share else rng.choice((0.0, 1e-13, 1e-3, 0.05, 0.3))
+            low = max(0.0, m - rng.uniform(0.0, width))
+            bounds.append((FocalSet(bits), low, min(1.0, low + width)))
+        return IntervalBeliefStructure(FRAME5, tuple(bounds))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_mixed_bodies_equal_the_brute_force_scan(self, seed):
+        rng = random.Random(f"zero-width:{seed}")
+        raw = self.body(rng, rng.randint(2, 9), 0.5)
+        for ibs in (raw, normalize(raw)):
+            assert enumerate_vertices(ibs) == brute_force_vertices(ibs)
+            for m in SEPARABLE_MEASURE_IDS:
+                profile = separable_profile(m, ibs.focal_sets, ibs.frame)
+                assert enumerate_vertices(ibs, profile) == brute_force_ties(ibs, profile)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_point_valued_body_reaches_n_leaves(self, monkeypatch, n):
+        # An entry tried at both of its equal bounds doubles the tree:
+        # n * 2**(n-1) leaves for the one vertex.
+        ibs = self.body(random.Random(f"point:{n}"), n, 1.0)
+        assert enumerate_vertices(ibs) == (ibs.lower_bounds,)
+        profile = separable_profile("pal", ibs.focal_sets, ibs.frame)
+        assert enumerate_vertices(ibs, profile) == (ibs.lower_bounds,)
+        assert leaves_reached(monkeypatch, ibs, profile) == n
+        assert len(scored_vectors(monkeypatch, ibs, profile)) <= n
 
 
 class TestLimitsAndContains:

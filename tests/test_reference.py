@@ -495,10 +495,10 @@ def test_containment_chain_on_generated_bodies():
 
 
 # random_wide_bpa's frame in the point-valued chain, where its bodies take up
-# to 8 of the 15 non-empty subsets: wang and proposed enumerate each body's
-# vertices, and the search takes 0.15 s at n = 12 and 0.9 s at n = 14 to
-# find a point-valued body's one vertex.
-WIDE_FRAME = Frame(("a", "b", "c", "d"))
+# to MAX_VERTEX_DIM = 24 of the 31 non-empty subsets: wang and proposed
+# enumerate each body's vertices, and the search reaches a point-valued
+# body's one vertex in n leaves.
+WIDE_FRAME = Frame(("a", "b", "c", "d", "e"))
 
 
 def test_containment_chain_on_point_valued_bodies():
@@ -513,7 +513,7 @@ def test_containment_chain_on_point_valued_bodies():
         if rng.random() < 0.5:
             bodies = [point_body(random_bpa(rng)) for _ in range(k)]
         else:
-            bodies = [point_body(random_wide_bpa(rng, WIDE_FRAME, max_sets=8)) for _ in range(k)]
+            bodies = [point_body(random_wide_bpa(rng, WIDE_FRAME, max_sets=24)) for _ in range(k)]
         try:
             dempster = combine("dempster", bodies).result
         except TotalConflictError:
