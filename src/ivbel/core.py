@@ -275,7 +275,9 @@ def _canonical_interval_entries(
         if not 0.0 <= lo <= hi <= 1.0:
             raise IvbelError(f"interval [{lo}, {hi}] violates 0 <= lo <= hi <= 1")
         out.append((fs, lo, hi))
-    out.sort(key=lambda e: e[0].bits)
+    bits = [fs.bits for fs, _, _ in out]
+    if not all(map(lt, bits, bits[1:])):
+        out.sort(key=lambda e: e[0].bits)
     return tuple(out)
 
 
@@ -596,9 +598,9 @@ def _pignistic_sums(frame: Frame, values: Iterable[tuple[FocalSet, float]]) -> d
     for fs, value in values:
         bits = fs.bits
         share = value / bits.bit_count()
-        for i in range(frame.size):
-            if bits >> i & 1:
-                sums[1 << i] += share
+        while bits:
+            sums[bits & -bits] += share
+            bits &= bits - 1
     return sums
 
 

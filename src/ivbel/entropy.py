@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from .core import Bpa, FocalSet, Frame, IvbelError, _Frozen, bel, pl, plausibility_transform
+from .core import (
+    Bpa, FocalSet, Frame, IvbelError, _Frozen, _pignistic_sums, bel, pl, plausibility_transform,
+)
 
 __all__ = [
     "EntropyMeasure",
@@ -79,27 +81,30 @@ def _qin_weight(a: FocalSet, frame: Frame) -> float:
     return (a.cardinality / frame.size) * math.log2(a.cardinality)
 
 
-def _bit_entries(b: Bpa) -> list[tuple[int, int, float]]:
-    """``(bits, |A|, mass)`` per entry, so the pair loops below run on
-    integers instead of building a :class:`FocalSet` per pair."""
-    return [(fs.bits, fs.bits.bit_count(), m) for fs, m in b.entries]
+def _over(per_bit: dict[int, float], bits: int) -> float:
+    """``fsum`` of ``per_bit`` over the singleton bits of ``bits``."""
+    parts = []
+    while bits:
+        parts.append(per_bit[bits & -bits])
+        bits &= bits - 1
+    return math.fsum(parts)
 
 
 def _klir_ramer(b: Bpa) -> float:
-    sets = _bit_entries(b)
+    # sum_B m(B)|A & B|/|B| is BetP(A), the pignistic mass of A.
+    betp = _pignistic_sums(b.frame, b.entries)
     total = 0.0
-    for a, _, ma in sets:
-        inner = math.fsum(mb * (a & fb).bit_count() / cb for fb, cb, mb in sets)
-        total -= ma * math.log2(inner)
+    for fs, m in b.entries:
+        total -= m * math.log2(_over(betp, fs.bits))
     return total
 
 
 def _klir_parviz(b: Bpa) -> float:
-    sets = _bit_entries(b)
+    # sum_B m(B)|A & B|/|A| is the mean of pl({x}) over the x in A.
+    pls = {s.bits: pl(b, s) for s in b.frame.singletons()}
     total = 0.0
-    for a, ca, ma in sets:
-        inner = math.fsum(mb * (a & fb).bit_count() / ca for fb, _, mb in sets)
-        total -= ma * math.log2(inner)
+    for fs, m in b.entries:
+        total -= m * math.log2(_over(pls, fs.bits) / fs.cardinality)
     return total
 
 

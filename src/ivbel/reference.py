@@ -68,7 +68,8 @@ def leezhu_combine(
         raise IvbelError(f"Lee-Zhu order must satisfy w >= 1, got {w}")
     _check_bodies((ibs1, ibs2), normalized=False)
     # The t-conorm is min(1, (x**w + y**w)**(1/w)), evaluated in the stable
-    # form hi*exp(log1p((lo/hi)**w)/w); the t-norm is 1 - conorm(1-x, 1-y).
+    # form hi*exp(log1p((lo/hi)**w)/w), which is hi itself when lo is 0; the
+    # t-norm is 1 - conorm(1-x, 1-y), which is 0 when 1-x or 1-y is 1, as at x = 0.
     exp, log1p = math.exp, math.log1p
     rows2 = [(f.bits, 1.0 - lo, 1.0 - hi) for f, lo, hi in ibs2.entries]
     lows: dict[int, float] = {}
@@ -79,19 +80,23 @@ def leezhu_combine(
             inter = bits1 & bits2
             if inter == 0:
                 continue
-            a, b = (x_lo, y_lo) if x_lo >= y_lo else (y_lo, x_lo)
-            v = a * exp(log1p((b / a) ** w) / w) if a > 0.0 else 0.0
-            c_lo = 1.0 - (v if v < 1.0 else 1.0)
+            if x_lo == 1.0 or y_lo == 1.0:
+                # A zero contribution leaves the accumulated bound as it is.
+                lows.setdefault(inter, 0.0)
+            else:
+                a, b = (x_lo, y_lo) if x_lo >= y_lo else (y_lo, x_lo)
+                v = a * exp(log1p((b / a) ** w) / w) if b > 0.0 else a
+                c_lo = 1.0 - (v if v < 1.0 else 1.0)
+                a = lows.get(inter, 0.0)
+                a, b = (a, c_lo) if a >= c_lo else (c_lo, a)
+                v = a * exp(log1p((b / a) ** w) / w) if b > 0.0 else a
+                lows[inter] = v if v < 1.0 else 1.0
             a, b = (x_hi, y_hi) if x_hi >= y_hi else (y_hi, x_hi)
-            v = a * exp(log1p((b / a) ** w) / w) if a > 0.0 else 0.0
+            v = a * exp(log1p((b / a) ** w) / w) if b > 0.0 else a
             c_hi = 1.0 - (v if v < 1.0 else 1.0)
-            a = lows.get(inter, 0.0)
-            a, b = (a, c_lo) if a >= c_lo else (c_lo, a)
-            v = a * exp(log1p((b / a) ** w) / w) if a > 0.0 else 0.0
-            lows[inter] = v if v < 1.0 else 1.0
             a = highs.get(inter, 0.0)
             a, b = (a, c_hi) if a >= c_hi else (c_hi, a)
-            v = a * exp(log1p((b / a) ** w) / w) if a > 0.0 else 0.0
+            v = a * exp(log1p((b / a) ** w) / w) if b > 0.0 else a
             highs[inter] = v if v < 1.0 else 1.0
     if not lows:
         raise TotalConflictError("not combinable: every focal-set pair conflicts")

@@ -7,7 +7,8 @@ output change, regenerate that file with::
 
     PYTHONPATH=src python tests/cli_corpus.py
 
-and list the invocations that changed, and why, in CHANGES.md.
+which prints the header of each record that changed, then the count; list
+those invocations, and why they changed, in CHANGES.md.
 
 Each record in the file is a ``### ivbel ...`` header line, an ``exit N``
 line, then stdout lines prefixed ``1|`` and stderr lines prefixed ``2|``; a
@@ -183,13 +184,25 @@ def parse(text: str) -> list[str]:
     return parts[:1] + ["### " + part for part in parts[1:]]
 
 
+def changed_headers(old: list[str], new: list[str]) -> list[str]:
+    """The header of each record of ``new`` that ``old`` lacks or records
+    differently, then of each record of ``old`` that ``new`` drops."""
+    was = {r.split("\n", 1)[0]: r for r in old}
+    now = {r.split("\n", 1)[0]: r for r in new}
+    return [h for h, r in now.items() if was.get(h) != r] + [h for h in was if h not in now]
+
+
 def regenerate() -> None:
+    old = parse(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
         records = render(Path(tmp))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("\n".join(records) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
+    changed = changed_headers(old, records)
+    for header in changed:
+        print(f"changed: {header}", file=sys.stderr)
+    print(f"wrote {len(records)} records to {GOLDEN}, {len(changed)} changed", file=sys.stderr)
 
 
 if __name__ == "__main__":

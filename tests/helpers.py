@@ -442,6 +442,8 @@ def assert_oracle_bounds(
 # The FocalSet-level forms of the bit-pattern kernels in ``ivbel.core`` and
 # ``ivbel.entropy``, written with ``&``, ``cardinality``, ``issubset`` and
 # ``in``.  The kernels must equal them bit for bit: same operands, same order.
+# The Klir oracles keep the pair sums of the definitions, which the kernels
+# regroup by singleton, so those two agree within a few ulps, not bit for bit.
 
 
 def bel_oracle(b: Bpa, a: FocalSet) -> float:

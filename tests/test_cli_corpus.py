@@ -3,7 +3,7 @@ records, byte for byte (see ``tests/cli_corpus.py``)."""
 
 import pytest
 
-from cli_corpus import GOLDEN, parse, render, write_inputs
+from cli_corpus import GOLDEN, changed_headers, parse, render, write_inputs
 
 
 def first_difference(expected: list[str], actual: list[str]) -> str | None:
@@ -44,3 +44,11 @@ def test_first_difference_names_invocation_and_line():
     )
     assert "only expected '1|z'" in first_difference(expected, [expected[0], expected[1][:-4]])
     assert "2 recorded invocations, 1 run" == first_difference(expected, expected[:1])
+
+
+def test_changed_headers_names_changed_added_and_dropped_records():
+    old = ["### ivbel a\nexit 0\n1|x", "### ivbel b\nexit 0", "### ivbel c\nexit 1"]
+    assert changed_headers(old, old) == []
+    new = ["### ivbel a\nexit 0\n1|y", "### ivbel b\nexit 0", "### ivbel d\nexit 0"]
+    assert changed_headers(old, new) == ["### ivbel a", "### ivbel d", "### ivbel c"]
+    assert changed_headers([], new[:1]) == ["### ivbel a"]

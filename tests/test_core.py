@@ -45,6 +45,7 @@ from helpers import (
     random_bpa,
     random_valid_ibs,
     random_wide_bpa,
+    unit_float,
 )
 
 FRAME = Frame(("A", "B", "C"))
@@ -258,6 +259,57 @@ class TestMergeSkip:
         total = 1.0 + 0.5 + 0.2
         assert p.mass(FRAME.singleton("A")) == pytest.approx(1.0 / total)
         assert p.mass(FRAME.singleton("C")) == pytest.approx(0.2 / total)
+
+
+def _ibs_outcome(entries):
+    try:
+        return IntervalBeliefStructure(FRAME, entries).entries
+    except IvbelError as exc:
+        return str(exc)
+
+
+class TestSortSkip:
+    """Interval entries strictly ascending in bits skip the sort; any other
+    order runs it.  Both give the same entries or the same error."""
+
+    A, B, AB, C = FocalSet(0b1), FocalSet(0b10), FocalSet(0b11), FocalSet(0b100)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_shuffled_entries(self, seed):
+        rng = random.Random(seed)
+        sets = [FocalSet(bits) for bits in rng.sample(range(1, 8), rng.randint(1, 7))]
+        bounds = [sorted((unit_float(rng), unit_float(rng))) for _ in sets]
+        entries = [(fs, lo, hi) for fs, (lo, hi) in zip(sets, bounds)]
+        ascending = sorted(entries, key=lambda e: e[0].bits)
+        shuffled = rng.sample(ascending, len(ascending))
+        assert repr(_ibs_outcome(shuffled)) == repr(_ibs_outcome(ascending))
+        assert repr(_ibs_outcome(ascending[::-1])) == repr(_ibs_outcome(ascending))
+
+    @pytest.mark.parametrize(
+        "ascending, shuffled, error",
+        [
+            pytest.param(
+                ((A, 0.2, 0.5), (A, 0.1, 0.3), (B, 0.0, 1.0)),
+                ((B, 0.0, 1.0), (A, 0.2, 0.5), (A, 0.1, 0.3)),
+                "duplicate focal set 0x1",
+                id="duplicate",
+            ),
+            pytest.param(
+                ((EMPTY_SET, 0.0, 0.5), (A, 0.5, 1.0)),
+                ((A, 0.5, 1.0), (EMPTY_SET, 0.0, 0.5)),
+                "interval structure cannot carry the empty set",
+                id="empty-set",
+            ),
+            pytest.param(
+                ((A, 0.6, 0.4), (AB, 0.0, 1.0), (C, 0.1, 0.2)),
+                ((C, 0.1, 0.2), (AB, 0.0, 1.0), (A, 0.6, 0.4)),
+                "interval [0.6, 0.4] violates 0 <= lo <= hi <= 1",
+                id="lo-above-hi",
+            ),
+        ],
+    )
+    def test_same_error(self, ascending, shuffled, error):
+        assert _ibs_outcome(ascending) == _ibs_outcome(shuffled) == error
 
 
 class TestBitKernels:

@@ -150,14 +150,19 @@ class TestLeeZhu:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_bit_identical_to_pnorm_oracle(self, seed):
-        """Raw, invalid and point-valued bodies of 1..31 sets on a 5-element
-        frame give the same result, repr included, as the earlier form."""
+        """Raw, invalid, point-valued and edge bodies of 1..31 sets on a
+        5-element frame give the same result, repr included, as the earlier
+        form, for orders up to ``w = inf``.  Edge bounds are drawn by
+        ``unit_float`` (exact 0 and 1, and values within 1e-16 of either), so
+        they reach the kernel's zero-bound shortcuts."""
         rng = random.Random(seed)
         frame = Frame(("a", "b", "c", "d", "e"))
 
         def body(kind):
             bits = rng.sample(range(1, 32), rng.randint(1, 31))
-            if kind == "point":
+            if kind == "edge":
+                entries = [sorted((unit_float(rng), unit_float(rng))) for _ in bits]
+            elif kind == "point":
                 masses = [rng.expovariate(1.0) for _ in bits]
                 total = sum(masses)
                 entries = [(m / total, m / total) for m in masses]
@@ -169,9 +174,9 @@ class TestLeeZhu:
                 frame, tuple((FocalSet(b), lo, hi) for b, (lo, hi) in zip(bits, entries))
             )
 
-        ibs1 = body(rng.choice(("raw", "invalid", "point")))
-        ibs2 = body(rng.choice(("raw", "invalid", "point")))
-        for w in (1.0, 2.0, 3.0, 256.0):
+        kinds = ("raw", "invalid", "point", "edge")
+        ibs1, ibs2 = body(rng.choice(kinds)), body(rng.choice(kinds))
+        for w in (1.0, 1.5, 2.0, 3.0, 10.0, 256.0, math.inf):
             try:
                 want = leezhu_oracle(ibs1, ibs2, w)
             except TotalConflictError:
