@@ -11,7 +11,7 @@ point mass.
 from __future__ import annotations
 
 import math
-from functools import cached_property, total_ordering
+from functools import cached_property
 from operator import lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -42,7 +42,8 @@ __all__ = [
 
 # Masses must sum to 1 within this tolerance.
 MASS_SUM_TOL = 1e-9
-# Masses below this are treated as exact zeros and dropped.
+# The mass that counts as none: a body or fold whose surviving mass is at most
+# this has nothing left to divide by, and a mass below its negative is refused.
 MASS_DROP_EPS = 1e-12
 
 
@@ -96,14 +97,12 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
 
 
-@total_ordering
 class FocalSet(_Frozen):
     """A subset of a frame, as a bit pattern over the frame's elements.
 
     ``bits == 0`` denotes the empty set.  Containers (:class:`Bpa`,
     :class:`IntervalBeliefStructure`) reject empty focal sets; the value
     itself allows them so queries and conflict bookkeeping can use them.
-    Focal sets order by ``bits``.
     """
 
     _fields = ("bits",)
@@ -122,11 +121,6 @@ class FocalSet(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.bits,))
-
-    def __lt__(self, other: "FocalSet") -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits < other.bits
-        return NotImplemented
 
     @property
     def cardinality(self) -> int:
@@ -236,8 +230,9 @@ def _canonical_mass_entries(
     entries: Iterable[tuple[FocalSet, float]],
 ) -> tuple[tuple[FocalSet, float], ...]:
     """Sort by bit value, merge duplicates (keeping the first one's
-    :class:`FocalSet`), drop masses below the zero epsilon.  Entries already
-    strictly ascending in bits skip the merge."""
+    :class:`FocalSet`), keep every positive mass and drop the rest (a
+    negative one only down to ``-MASS_DROP_EPS``, as rounding).  Entries
+    already strictly ascending in bits skip the merge."""
     entries = tuple(entries)
     bits = [fs.bits for fs, _ in entries]
     if not all(map(lt, bits, bits[1:])):
@@ -252,7 +247,7 @@ def _canonical_mass_entries(
         mass = float(mass)
         if not mass >= -MASS_DROP_EPS:
             raise IvbelError(f"negative or NaN mass {mass} for focal set {fs.bits:#x}")
-        if mass > MASS_DROP_EPS:
+        if mass > 0.0:
             out.append((fs, mass))
     # Sorted by bits, so a kept empty set comes first.
     if out and out[0][0].is_empty:
@@ -617,4 +612,4 @@ def plausibility_transform(b: Bpa) -> Bpa:
     """Normalize singleton plausibilities into a Bayesian BPA."""
     values = [(s, pl(b, s)) for s in b.frame.singletons()]
     total = math.fsum(v for _, v in values)
-    return Bpa(b.frame, tuple((s, v / total) for s, v in values if v > 0.0))
+    return Bpa(b.frame, tuple((s, v / total) for s, v in values))

@@ -1,8 +1,9 @@
 """Seeded random generators (bodies, boundary-biased unit floats and fuzzed
 input files among them), the brute-force vertex oracle, exact oracles for
 the entropy bounds (a weak-duality certificate for the maximum, the least
-vertex value for the minimum), and earlier forms of rewritten kernels,
-shared by the unit and acceptance suites.  Pure Python: no numpy."""
+vertex value for the minimum) and for Dempster's rule (in ``Fraction``s),
+and earlier forms of rewritten kernels, shared by the unit and acceptance
+suites.  Pure Python: no numpy."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 import random
 from bisect import bisect_left
 from collections.abc import Iterable
+from fractions import Fraction
 
 from ivbel import (
     Bpa,
@@ -247,6 +249,26 @@ def unit_float(rng: random.Random) -> float:
         return rng.random()
     tiny = 10.0 ** -rng.randint(1, 16)
     return tiny if kind == 2 else 1.0 - tiny
+
+
+def exact_products(m1, m2) -> dict[int, Fraction]:
+    """Unnormalized conjunctive products of two ``(bits, mass)`` lists, in
+    exact rationals (each float mass is read as the dyadic it is)."""
+    out: dict[int, Fraction] = {}
+    for a, x in m1:
+        for b, y in m2:
+            out[a & b] = out.get(a & b, 0) + Fraction(x) * Fraction(y)
+    return out
+
+
+def exact_dempster(m1, m2) -> dict[int, Fraction]:
+    """Dempster's rule in exact rationals: the non-empty products divided by
+    their sum, which is ``1 - K`` when both lists sum to one.  Raises
+    ``ZeroDivisionError`` when no product survives."""
+    out = exact_products(m1, m2)
+    out.pop(0, None)
+    surviving = sum(out.values())
+    return {t: v / surviving for t, v in out.items()}
 
 
 # Characters of fuzzed text: ASCII, JSON's quote and escapes, control

@@ -39,6 +39,8 @@ from ivbel.reproduce import TARGETS, load_bundled, reproduce
 from helpers import (
     assert_oracle_bounds,
     bound_patterns,
+    exact_dempster,
+    exact_products,
     random_aligned_general_ibs,
     random_box_ibs,
     random_bpa,
@@ -93,21 +95,6 @@ def _vertices(box) -> list[tuple[Fraction, ...]]:
 
 def _masses(box, vec) -> list[tuple[int, Fraction]]:
     return [(bits, m) for (bits, _, _), m in zip(box, vec)]
-
-
-def _products(m1, m2) -> dict[int, Fraction]:
-    """Unnormalized conjunctive products of two (bits, mass) lists."""
-    out: dict[int, Fraction] = {}
-    for a, x in m1:
-        for b, y in m2:
-            out[a & b] = out.get(a & b, 0) + x * y
-    return out
-
-
-def _dempster(m1, m2) -> dict[int, Fraction]:
-    out = _products(m1, m2)
-    conflict = out.pop(0, 0)
-    return {t: v / (1 - conflict) for t, v in out.items()}
 
 
 def _shannon(vec) -> float:
@@ -182,7 +169,7 @@ def _raw_product_bounds(box1, box2) -> dict[str, tuple[Fraction, Fraction]]:
     pairs."""
     bounds: dict[str, tuple[Fraction, Fraction]] = {}
     for v1, v2 in itertools.product(_vertices(box1), _vertices(box2)):
-        for t, s in _products(_masses(box1, v1), _masses(box2, v2)).items():
+        for t, s in exact_products(_masses(box1, v1), _masses(box2, v2)).items():
             lo, hi = bounds.get(_label(t), (s, s))
             bounds[_label(t)] = (min(lo, s), max(hi, s))
     return bounds
@@ -206,8 +193,8 @@ def _nguyen_hull(min2) -> dict[str, tuple[Fraction, Fraction]]:
     box1, box2 = _T34_BOXES
     (min1,) = _min_shannon_vertices(box1)
     folds = (
-        _dempster(_masses(box1, _level_fill(box1)), _masses(box2, _level_fill(box2))),
-        _dempster(_masses(box1, min1), _masses(box2, min2)),
+        exact_dempster(_masses(box1, _level_fill(box1)), _masses(box2, _level_fill(box2))),
+        exact_dempster(_masses(box1, min1), _masses(box2, min2)),
     )
     hull = {}
     for t in folds[0].keys() | folds[1].keys():

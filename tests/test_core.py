@@ -152,9 +152,15 @@ class TestBpa:
         with pytest.raises(IvbelError, match="empty set"):
             Bpa(FRAME, ((EMPTY_SET, 0.5), (FocalSet(0b1), 0.5)))
 
-    def test_tiny_masses_dropped(self):
-        b = Bpa.from_mapping(FRAME, {("A",): 1.0, ("B",): 1e-13})
-        assert len(b.entries) == 1
+    def test_tiny_masses_kept(self):
+        # Only zero means zero: a positive mass stays however small, and a
+        # mass in [-MASS_DROP_EPS, 0] is dropped as rounding.
+        b = Bpa.from_mapping(
+            FRAME, {("A",): 1.0, ("B",): 1e-13, ("C",): 0.0, ("A", "B"): -1e-13}
+        )
+        assert b.entries == ((FocalSet(0b001), 1.0), (FocalSet(0b010), 1e-13))
+        with pytest.raises(IvbelError, match="negative or NaN mass"):
+            Bpa.from_mapping(FRAME, {("A",): 1.0, ("B",): -2 * MASS_DROP_EPS})
 
 
 def _bpa_outcome(entries):
@@ -201,15 +207,20 @@ class TestMergeSkip:
                 ((EMPTY_SET, 0.5), (A, 0.5)), ((A, 0.5), (EMPTY_SET, 0.5)), id="kept-empty-set"
             ),
             pytest.param(
+                ((EMPTY_SET, 0.0), (A, 1.0)),
+                ((A, 1.0), (EMPTY_SET, 0.0)),
+                id="dropped-empty-set",
+            ),
+            pytest.param(
                 ((EMPTY_SET, 1e-13), (A, 1.0)),
                 ((A, 1.0), (EMPTY_SET, 1e-13)),
-                id="dropped-empty-set",
+                id="tiny-empty-set",
             ),
             pytest.param(((A, math.nan), (C, 1.0)), ((C, 1.0), (A, math.nan)), id="nan"),
             pytest.param(
                 ((A, 1.0), (AB, 1e-13), (C, MASS_DROP_EPS)),
                 ((C, MASS_DROP_EPS), (AB, 1e-13), (A, 1.0)),
-                id="tiny-dropped",
+                id="tiny-kept",
             ),
             pytest.param(((A, -0.1), (B, 1.1)), ((B, 1.1), (A, -0.1)), id="negative"),
         ],
@@ -227,7 +238,13 @@ class TestMergeSkip:
         assert _bpa_outcome(((self.A, 0.5), (EMPTY_SET, 0.5))) == (
             "BPA cannot assign mass to the empty set"
         )
-        assert _bpa_outcome(((self.C, MASS_DROP_EPS), (self.A, 1.0))) == ((self.A, 1.0),)
+        assert _bpa_outcome(((EMPTY_SET, 1e-13), (self.A, 1.0))) == (
+            "BPA cannot assign mass to the empty set"
+        )
+        assert _bpa_outcome(((self.C, MASS_DROP_EPS), (self.A, 1.0))) == (
+            (self.A, 1.0),
+            (self.C, MASS_DROP_EPS),
+        )
 
     def test_all_zero_masses_rejected(self):
         with pytest.raises(IvbelError, match="at least one focal set with positive mass"):

@@ -28,10 +28,12 @@ from ivbel.reproduce import load_bundled
 
 from helpers import (
     FRAME3,
+    FRAME_ABC,
     assert_oracle_bounds,
     brute_force_ties,
     equal_boxes,
     max_certificate,
+    near_conflict_body,
     random_aligned_ibs,
     random_box_ibs,
     random_normalized_ibs,
@@ -308,6 +310,40 @@ class TestBounds:
         meas = EntropyMeasure("k", beta=beta, weight=lambda a, f: k if a.bits == 1 else 0.0)
         with pytest.raises(IvbelError, match=match):
             entropy_bounds(ibs, meas)
+
+
+# Body m1 of the CLI corpus's near-conflict.json: {B} and {C} may hold at
+# most 8.1e-13 each.
+NEAR_CONFLICT_M1 = {
+    ("A",): (0.9999999999986339, 1.0),
+    ("B",): (0.0, 8.066875882656179e-13),
+    ("C",): (0.0, 8.066875882656179e-13),
+}
+
+
+class TestWitnessesAttainBounds:
+    """Each bound is the entropy of its witness BPA, bit for bit: building
+    the witness drops no mass.  h_min is clamped to h_max only on an
+    inversion within _INVERSION_TOL, which none of these bodies reaches
+    (nor any of seeds 0..1999), so none is excluded."""
+
+    @staticmethod
+    def _assert_attained(ibs):
+        for mid in SEPARABLE_MEASURE_IDS:
+            sol = entropy_bounds(ibs, mid)
+            assert entropy(mid, sol.m_max) == sol.h_max, (mid, "max")
+            assert entropy(mid, sol.m_min) == sol.h_min, (mid, "min")
+
+    def test_near_conflict_corpus_body(self):
+        self._assert_attained(
+            normalize(IntervalBeliefStructure.from_mapping(FRAME_ABC, NEAR_CONFLICT_M1))
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_bodies(self, seed):
+        rng = random.Random(seed)
+        self._assert_attained(near_conflict_body(rng, "ABC"[seed % 3]))
+        self._assert_attained(random_normalized_ibs(rng))
 
 
 def test_oracles_on_a_hand_valued_segment():

@@ -1,5 +1,10 @@
 """Every tolerance in the package has a name, `reproduce` keeps no copy of
-core's, and the total-conflict rule has one owner."""
+core's, and the total-conflict rule has one owner.
+
+`MASS_DROP_EPS` is the mass that counts as none.  It is read by the one
+total-conflict test (`fusion._total_conflict`), `normalize`'s refusal of a
+structure with no mass, `Bpa`'s refusal of a mass below its negative, and
+`reproduce`'s point-valued check; `Bpa` drops only zero masses."""
 
 import ast
 import re
