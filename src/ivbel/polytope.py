@@ -24,8 +24,9 @@ from the root gives: the widths that fit the mass above the lower bounds at
 their upper bounds, the next coordinate free if any mass is left, the rest
 at their lower bounds.  So the first leaf is a good incumbent, and cuts
 start near the root.  A leaf whose value, summed plainly from its path, is
-above the cut is skipped before the dedupe and the exact score.  Without an
-objective the tree keeps index order.
+above the cut is skipped before the dedupe and the exact score.  With no
+objective given the objective is zero: every vertex ties, no branch is cut,
+and the search returns the full list.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from .entropy import _xlog2, entropy_from_profile
 
 __all__ = ["MAX_VERTEX_DIM", "MIN_TIE_TOL", "enumerate_vertices", "contains"]
 
-# Refuse enumeration above this many focal sets.  The full enumeration costs
-# time per vertex, and the search for a minimum per node it cannot cut, so
-# this caps n rather than a count of either; both still grow as C(n, n/2) on
-# equal and near-equal boxes, and a budget on the work actually done is meant
-# to replace this cap.
+# Refuse enumeration above this many focal sets.  The search costs time per
+# node it cannot cut, and the full list, where every vertex ties, cuts none.
+# This caps n rather than a count of nodes, which grows as C(n, n/2) on equal
+# and near-equal boxes; a budget on the work actually done is meant to
+# replace this cap.
 MAX_VERTEX_DIM = 24
 _DEDUPE_DECIMALS = 12
 # The search prunes against the acceptance window (MASS_SUM_TOL beyond each
@@ -104,64 +105,65 @@ def enumerate_vertices(
     ibs: IntervalBeliefStructure,
     profile: Sequence[tuple[float, float]] | None = None,
 ) -> tuple[tuple[float, ...], ...]:
-    """All vertices of the feasible polytope, as mass vectors.
+    """The vertices of the feasible polytope that minimize a separable
+    objective, as mass vectors; with no objective, all of them.
 
     Vectors are aligned with ``ibs.entries`` (canonical focal-set order) and
     returned sorted lexicographically, with duplicates equal after rounding to
     12 decimals removed.  Raises when the structure has no feasible point or
     has more than :data:`MAX_VERTEX_DIM` entries.
 
-    Given ``profile``, the ``(k, beta)`` pairs of a separable measure with
-    ``beta >= 0`` (:func:`ivbel.entropy.separable_profile`), returns only the
-    vertices whose :func:`ivbel.entropy.entropy_from_profile` value is at
-    most the least one plus :data:`MIN_TIE_TOL`, as filtering the full list
-    would, and skips every branch that cannot hold one.  Raises when the
-    profile has another length than ``ibs.entries``, a ``k`` that is not
-    finite, or a ``beta`` that is negative or not finite.
+    ``profile`` holds the ``(k, beta)`` pairs of a separable measure with
+    ``beta >= 0`` (:func:`ivbel.entropy.separable_profile`); none is the
+    zero objective, under which every vertex ties.  Returns the vertices whose
+    :func:`ivbel.entropy.entropy_from_profile` value is at most the least one
+    plus :data:`MIN_TIE_TOL`, as filtering the full list would, and skips
+    every branch that cannot hold one.  Raises when the profile has another
+    length than ``ibs.entries``, a ``k`` that is not finite, or a ``beta``
+    that is negative or not finite.
     """
     n = len(ibs.entries)
     if n > MAX_VERTEX_DIM:
         raise IvbelError(
             f"vertex enumeration refused: {n} focal sets (max {MAX_VERTEX_DIM})"
         )
+    if profile is None:
+        profile = ((0.0, 0.0),) * n
+    if len(profile) != n:
+        raise IvbelError(f"profile has {len(profile)} entries, structure has {n}")
+    for (fs, _, _), (k, beta) in zip(ibs.entries, profile):
+        if not (math.isfinite(k) and math.isfinite(beta) and beta >= 0.0):
+            raise IvbelError(
+                f"profile entry for {ibs.frame.format_set(fs)} needs a finite k and a "
+                f"finite beta >= 0, got k={k}, beta={beta}"
+            )
     lo, hi = ibs.lower_bounds, ibs.upper_bounds
     found: dict[tuple[float, ...], tuple[int, tuple[float, ...]]] = {}
-    order = list(range(n))  # order[d]: the coordinate branched on at depth d
-    lead, lift = [2] * n, [0.0] * n
-    bounded = profile is not None
-    if bounded:
-        if len(profile) != n:
-            raise IvbelError(f"profile has {len(profile)} entries, structure has {n}")
-        for (fs, _, _), (k, beta) in zip(ibs.entries, profile):
-            if not (math.isfinite(k) and math.isfinite(beta) and beta >= 0.0):
-                raise IvbelError(
-                    f"profile entry for {ibs.frame.format_set(fs)} needs a finite k and a "
-                    f"finite beta >= 0, got k={k}, beta={beta}"
-                )
-        # Each term m*k - beta*m*log2(m) is concave, so its secant over
-        # [lo, hi] lies below it there; lift is its rise over the interval.
-        phi_lo = [m * k - beta * _xlog2(m) for m, (k, beta) in zip(lo, profile)]
-        lift = [m * k - beta * _xlog2(m) - a for m, (k, beta), a in zip(hi, profile, phi_lo)]
-        width = [h - l for l, h in zip(lo, hi)]
-        slope = [b / w if w > 0.0 else 0.0 for b, w in zip(lift, width)]
-        # Branch in slope order, ties by width, then index.
-        order.sort(key=lambda i: (slope[i], width[i], i))
-        lo, hi, lift, slope, width = ([x[i] for i in order] for x in (lo, hi, lift, slope, width))
-        fill = list(zip(slope, width))
-        # Lead to the vertex minimizing the secant sum: widths that fit the mass
-        # above the lower bounds at hi, the next one free if mass is left, then lo.
-        lead, rest = [], 1.0 - math.fsum(lo)
-        for w in width:
-            lead.append(1 if w <= rest + _FILL_EPS else 2 if rest > _FILL_EPS else 0)
-            rest -= w
-        # lifted[d]: every term at lo plus the lifts of the path's bounds at hi.
-        lifted = [math.fsum(phi_lo)] * (n + 1)
-        scores: dict[tuple[float, ...], float] = {}
-        cut = MIN_TIE_TOL + _BOUND_MARGIN * max(
-            1.0, math.fsum(map(abs, phi_lo)) + math.fsum(map(abs, lift))
-        )
-        limit = math.inf  # the least score found plus cut
-        window = MASS_SUM_TOL + _PRUNE_SLACK
+    # Each term m*k - beta*m*log2(m) is concave, so its secant over
+    # [lo, hi] lies below it there; lift is its rise over the interval.
+    phi_lo = [m * k - beta * _xlog2(m) for m, (k, beta) in zip(lo, profile)]
+    lift = [m * k - beta * _xlog2(m) - a for m, (k, beta), a in zip(hi, profile, phi_lo)]
+    width = [h - l for l, h in zip(lo, hi)]
+    slope = [b / w if w > 0.0 else 0.0 for b, w in zip(lift, width)]
+    # order[d]: the coordinate branched on at depth d, in slope order, ties by
+    # width, then index.
+    order = sorted(range(n), key=lambda i: (slope[i], width[i], i))
+    lo, hi, lift, slope, width = ([x[i] for i in order] for x in (lo, hi, lift, slope, width))
+    fill = list(zip(slope, width))
+    # Lead to the vertex minimizing the secant sum: widths that fit the mass
+    # above the lower bounds at hi, the next one free if mass is left, then lo.
+    lead, rest = [], 1.0 - math.fsum(lo)
+    for w in width:
+        lead.append(1 if w <= rest + _FILL_EPS else 2 if rest > _FILL_EPS else 0)
+        rest -= w
+    # lifted[d]: every term at lo plus the lifts of the path's bounds at hi.
+    lifted = [math.fsum(phi_lo)] * (n + 1)
+    scores: dict[tuple[float, ...], float] = {}
+    cut = MIN_TIE_TOL + _BOUND_MARGIN * max(
+        1.0, math.fsum(map(abs, phi_lo)) + math.fsum(map(abs, lift))
+    )
+    limit = math.inf  # the least score found plus cut
+    window = MASS_SUM_TOL + _PRUNE_SLACK
     # From here on, bounds and flags are indexed by depth; values by coordinate.
     # rest_lo[d] and rest_hi[d] sum the bounds after d, from the last one back.
     rest_lo = list(accumulate(lo[:0:-1], initial=0.0))[::-1]
@@ -197,25 +199,24 @@ def enumerate_vertices(
         t = partial[d] + value
         if t + rest_lo[d] > most[f] or t + rest_hi[d] < least[f]:
             continue
-        if bounded:
-            up = lifted[d] + rise
-            # The secant fill of the open depths in slope order: the free
-            # one, whose slope is least, then those after d.  While slopes
-            # are negative it fills all the window allows, then what it needs.
-            extra = 1.0 - t - rest_lo[d] - lo_f[f]
-            bound, filled, p = up, 0.0, f if f < n else d + 1
-            while p < n:
-                s, w = fill[p]
-                room = (extra + window if s < 0.0 else extra - window) - filled
-                if room <= 0.0:
-                    break
-                take = w if w < room else room
-                bound += s * take
-                filled += take
-                p = p + 1 if p > d else d + 1
-            if bound > limit:
-                continue
-            lifted[d + 1] = up
+        up = lifted[d] + rise
+        # The secant fill of the open depths in slope order: the free
+        # one, whose slope is least, then those after d.  While slopes
+        # are negative it fills all the window allows, then what it needs.
+        extra = 1.0 - t - rest_lo[d] - lo_f[f]
+        bound, filled, p = up, 0.0, f if f < n else d + 1
+        while p < n:
+            s, w = fill[p]
+            room = (extra + window if s < 0.0 else extra - window) - filled
+            if room <= 0.0:
+                break
+            take = w if w < room else room
+            bound += s * take
+            filled += take
+            p = p + 1 if p > d else d + 1
+        if bound > limit:
+            continue
+        lifted[d + 1] = up
         values[order[d]] = value
         if d < n - 1:
             d += 1
@@ -234,12 +235,11 @@ def enumerate_vertices(
             elif residual >= hi[f] - MASS_SUM_TOL:
                 residual = hi[f]
             f = order[f]
-            if bounded:
-                # The leaf's value, summed plainly: a leaf above the cut
-                # cannot tie, so it skips the dedupe and the exact score.
-                k, beta = profile[f]
-                if up + residual * k - beta * _xlog2(residual) - phi_lo[f] > limit:
-                    continue
+            # The leaf's value, summed plainly: a leaf above the cut
+            # cannot tie, so it skips the dedupe and the exact score.
+            k, beta = profile[f]
+            if up + residual * k - beta * _xlog2(residual) - phi_lo[f] > limit:
+                continue
             values[f] = residual
             vec = tuple(values)
             values[f] = 0.0
@@ -252,17 +252,14 @@ def enumerate_vertices(
                 if f > g or f == g and vec[:f] + vec[f + 1 :] >= old[:f] + old[f + 1 :]:
                     continue
                 found[key] = (f, vec)
-            if bounded:
-                scores[vec] = entropy_from_profile(vec, profile)
-                limit = min(limit, scores[vec] + cut)
+            scores[vec] = entropy_from_profile(vec, profile)
+            limit = min(limit, scores[vec] + cut)
 
     if not found:
         raise IvbelError("structure has no feasible mass assignment")
     vertices = sorted(vec for _, vec in found.values())
-    if bounded:
-        floor = min(scores[vec] for vec in vertices) + MIN_TIE_TOL
-        vertices = [vec for vec in vertices if scores[vec] <= floor]
-    return tuple(vertices)
+    floor = min(scores[vec] for vec in vertices) + MIN_TIE_TOL
+    return tuple(vec for vec in vertices if scores[vec] <= floor)
 
 
 def contains(ibs: IntervalBeliefStructure, masses: Sequence[float]) -> bool:

@@ -13,7 +13,7 @@ import math
 from importlib import resources
 from typing import NamedTuple
 
-from .core import MASS_DROP_EPS, MASS_SUM_TOL, Bpa, normalize
+from .core import MASS_SUM_TOL, Bpa, normalize
 from .entropy import SEPARABLE_MEASURE_IDS
 from .formats import REPRODUCE_TARGETS as TARGETS
 from .formats import EvidenceFile, parse_evidence
@@ -386,7 +386,7 @@ def reproduce_example32() -> TargetReport:
         ),
         AssertionCheck(
             "both pignistic bodies are point-valued",
-            all(body.is_degenerate(MASS_DROP_EPS) for body in pignistic),
+            all(body.is_degenerate() for body in pignistic),
         ),
     )
     return TargetReport("example32", tuple(cells), assertions)

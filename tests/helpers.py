@@ -1,9 +1,9 @@
 """Seeded random generators (bodies, boundary-biased unit floats and fuzzed
 input files among them), the brute-force vertex oracle, exact oracles for
 the entropy bounds (a weak-duality certificate for the maximum, the least
-vertex value for the minimum) and for Dempster's rule (in ``Fraction``s),
-and earlier forms of rewritten kernels, shared by the unit and acceptance
-suites.  Pure Python: no numpy."""
+vertex value for the minimum) and for Dempster's rule and the Denoeux and
+Wang bounds (in ``Fraction``s), and earlier forms of rewritten kernels,
+shared by the unit and acceptance suites.  Pure Python: no numpy."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from ivbel import (
     enumerate_vertices,
     normalize,
 )
-from ivbel.core import MASS_SUM_TOL, _check_bodies
+from ivbel.core import MASS_DROP_EPS, MASS_SUM_TOL, _check_bodies
 from ivbel.entropy import _xlog2, entropy_from_profile, separable_profile
 from ivbel.polytope import _DEDUPE_DECIMALS, MAX_VERTEX_DIM, MIN_TIE_TOL
 
@@ -269,6 +269,63 @@ def exact_dempster(m1, m2) -> dict[int, Fraction]:
     out.pop(0, None)
     surviving = sum(out.values())
     return {t: v / surviving for t, v in out.items()}
+
+
+def exact_box(ibs, read=Fraction) -> list[tuple[int, Fraction, Fraction]]:
+    """Each entry of ``ibs`` as ``(bits, lo, hi)`` in exact rationals.  ``read``
+    takes a float bound: ``Fraction`` reads the dyadic it is, as
+    :func:`exact_products` does; the table tests read the decimal it prints."""
+    return [(f.bits, read(lo), read(hi)) for f, lo, hi in ibs.entries]
+
+
+def exact_vertices(box) -> list[tuple[Fraction, ...]]:
+    """Exact vertices of {m : lo <= m <= hi, sum(m) = 1}: every mass but one
+    sits at a bound and the free one takes the residual."""
+    lo = [b[1] for b in box]
+    hi = [b[2] for b in box]
+    found = set()
+    for free, fixed in bound_patterns(lo, hi):
+        residual = 1 - sum(fixed)
+        if lo[free] <= residual <= hi[free]:
+            found.add(tuple(fixed[:free] + [residual] + fixed[free:]))
+    return sorted(found)
+
+
+def exact_masses(box, vec) -> list[tuple[int, Fraction]]:
+    return [(bits, m) for (bits, _, _), m in zip(box, vec)]
+
+
+def exact_raw_product_bounds(box1, box2) -> dict[int, tuple[Fraction, Fraction]]:
+    """Exact bounds of each target's unnormalized product mass, the empty
+    set (key 0) included: the mass is bilinear, so its extremes sit at vertex
+    pairs.  The float engine is ``denoeux_combine``."""
+    bounds: dict[int, tuple[Fraction, Fraction]] = {}
+    for v1, v2 in itertools.product(exact_vertices(box1), exact_vertices(box2)):
+        for t, s in exact_products(exact_masses(box1, v1), exact_masses(box2, v2)).items():
+            lo, hi = bounds.get(t, (s, s))
+            bounds[t] = (min(lo, s), max(hi, s))
+    return bounds
+
+
+def exact_ratio_bounds(boxes) -> dict[int, tuple[Fraction, Fraction]]:
+    """Exact bounds of each non-empty target's Dempster-combined mass over
+    the tuples of exact vertices, one per box, skipping each tuple whose
+    surviving mass is at most ``MASS_DROP_EPS`` (total conflict).  The float
+    engine is ``wang_combine``; empty when every tuple conflicts totally."""
+    bounds: dict[int, tuple[Fraction, Fraction]] = {}
+    for vecs in itertools.product(*map(exact_vertices, boxes)):
+        products = dict(exact_masses(boxes[0], vecs[0]))
+        for box, vec in zip(boxes[1:], vecs[1:]):
+            products = exact_products(products.items(), exact_masses(box, vec))
+        products.pop(0, None)
+        surviving = sum(products.values())
+        if surviving <= MASS_DROP_EPS:
+            continue
+        for t, s in products.items():
+            ratio = s / surviving
+            lo, hi = bounds.get(t, (ratio, ratio))
+            bounds[t] = (min(lo, ratio), max(hi, ratio))
+    return bounds
 
 
 # Characters of fuzzed text: ASCII, JSON's quote and escapes, control

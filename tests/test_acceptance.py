@@ -9,7 +9,6 @@ the bundled file's bounds without calling the engine under test, and every
 other required cell must match its printed value at the stated tolerance.
 """
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -38,9 +37,11 @@ from ivbel.reproduce import TARGETS, load_bundled, reproduce
 
 from helpers import (
     assert_oracle_bounds,
-    bound_patterns,
+    exact_box,
     exact_dempster,
-    exact_products,
+    exact_masses,
+    exact_raw_product_bounds,
+    exact_vertices,
     random_aligned_general_ibs,
     random_box_ibs,
     random_bpa,
@@ -76,27 +77,6 @@ def _round2(x) -> float:
     return float(Decimal(float(x)).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
-def _exact_box(ibs) -> list[tuple[int, Fraction, Fraction]]:
-    return [(f.bits, Fraction(str(lo)), Fraction(str(hi))) for f, lo, hi in ibs.entries]
-
-
-def _vertices(box) -> list[tuple[Fraction, ...]]:
-    """Exact vertices of {m : lo <= m <= hi, sum(m) = 1}: every mass but one
-    sits at a bound and the free one takes the residual."""
-    lo = [b[1] for b in box]
-    hi = [b[2] for b in box]
-    found = set()
-    for free, fixed in bound_patterns(lo, hi):
-        residual = 1 - sum(fixed)
-        if lo[free] <= residual <= hi[free]:
-            found.add(tuple(fixed[:free] + [residual] + fixed[free:]))
-    return sorted(found)
-
-
-def _masses(box, vec) -> list[tuple[int, Fraction]]:
-    return [(bits, m) for (bits, _, _), m in zip(box, vec)]
-
-
 def _shannon(vec) -> float:
     return -math.fsum(float(m) * math.log2(m) for m in vec if m > 0)
 
@@ -104,7 +84,7 @@ def _shannon(vec) -> float:
 def _min_shannon_vertices(box) -> list[tuple[Fraction, ...]]:
     """Vertices tied at the minimum of the nguyen measure (k_A = 0, so plain
     Shannon entropy of the focal masses), in lexicographic order."""
-    scored = [(_shannon(v), v) for v in _vertices(box)]
+    scored = [(_shannon(v), v) for v in exact_vertices(box)]
     h_min = min(h for h, _ in scored)
     return [v for h, v in scored if h <= h_min + 1e-12]
 
@@ -156,23 +136,11 @@ def _leezhu_cell(w: int, row: str, bound: str) -> float:
 
 # tables 3 and 4: the shared example5, whose bodies are already normalized.
 _T34 = load_bundled("example5")
-_T34_BOXES = [_exact_box(ibs) for _, ibs in _T34.bodies]
+_T34_BOXES = [exact_box(ibs, read=lambda x: Fraction(str(x))) for _, ibs in _T34.bodies]
 
 
 def _label(bits: int) -> str:
     return _T34.frame.format_set(FocalSet(bits))
-
-
-def _raw_product_bounds(box1, box2) -> dict[str, tuple[Fraction, Fraction]]:
-    """Exact bounds of each target's unnormalized product mass, the empty
-    set ("{}") included: the mass is bilinear, so its extremes sit at vertex
-    pairs."""
-    bounds: dict[str, tuple[Fraction, Fraction]] = {}
-    for v1, v2 in itertools.product(_vertices(box1), _vertices(box2)):
-        for t, s in exact_products(_masses(box1, v1), _masses(box2, v2)).items():
-            lo, hi = bounds.get(_label(t), (s, s))
-            bounds[_label(t)] = (min(lo, s), max(hi, s))
-    return bounds
 
 
 def _denoeux_hi(raw, row: str, *, constrained: bool = True) -> Fraction:
@@ -193,8 +161,10 @@ def _nguyen_hull(min2) -> dict[str, tuple[Fraction, Fraction]]:
     box1, box2 = _T34_BOXES
     (min1,) = _min_shannon_vertices(box1)
     folds = (
-        exact_dempster(_masses(box1, _level_fill(box1)), _masses(box2, _level_fill(box2))),
-        exact_dempster(_masses(box1, min1), _masses(box2, min2)),
+        exact_dempster(
+            exact_masses(box1, _level_fill(box1)), exact_masses(box2, _level_fill(box2))
+        ),
+        exact_dempster(exact_masses(box1, min1), exact_masses(box2, min2)),
     )
     hull = {}
     for t in folds[0].keys() | folds[1].keys():
@@ -203,7 +173,7 @@ def _nguyen_hull(min2) -> dict[str, tuple[Fraction, Fraction]]:
     return hull
 
 
-_T3_RAW = _raw_product_bounds(*_T34_BOXES)
+_T3_RAW = {_label(t): b for t, b in exact_raw_product_bounds(*_T34_BOXES).items()}
 # entropy_bounds(...).m_min resolves ties to the lexicographically first vertex.
 _T4_NGUYEN = _nguyen_hull(_min_shannon_vertices(_T34_BOXES[1])[0])
 

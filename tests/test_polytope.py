@@ -136,9 +136,9 @@ def scored_vectors(monkeypatch, ibs, profile):
 
 
 def leaves_reached(monkeypatch, ibs, profile):
-    """The leaves with an accepted residual that the search for a minimum
-    reaches: it takes _xlog2 of each one's free value, after two calls per
-    coordinate to set up its secants."""
+    """The leaves with an accepted residual that the search reaches, with or
+    without a profile: it takes _xlog2 of each one's free value, after two
+    calls per coordinate to set up its secants."""
     calls = []
 
     def counting(x):
@@ -503,6 +503,7 @@ class TestZeroWidth:
         # n * 2**(n-1) leaves for the one vertex.
         ibs = self.body(random.Random(f"point:{n}"), n, 1.0)
         assert enumerate_vertices(ibs) == (ibs.lower_bounds,)
+        assert leaves_reached(monkeypatch, ibs, None) == n
         profile = separable_profile("pal", ibs.focal_sets, ibs.frame)
         assert enumerate_vertices(ibs, profile) == (ibs.lower_bounds,)
         assert leaves_reached(monkeypatch, ibs, profile) == n

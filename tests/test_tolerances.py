@@ -3,8 +3,8 @@ core's, and the total-conflict rule has one owner.
 
 `MASS_DROP_EPS` is the mass that counts as none.  It is read by the one
 total-conflict test (`fusion._total_conflict`), `normalize`'s refusal of a
-structure with no mass, `Bpa`'s refusal of a mass below its negative, and
-`reproduce`'s point-valued check; `Bpa` drops only zero masses."""
+structure with no mass and `Bpa`'s refusal of a mass below its negative;
+`Bpa` drops only zero masses."""
 
 import ast
 import re
@@ -87,9 +87,10 @@ def test_total_conflict_has_one_owner():
 
 
 def test_reproduce_reads_core_tolerances():
-    # reproduce.py's numerical checks use core's MASS_SUM_TOL and
-    # MASS_DROP_EPS; a module-level float of its own would be a second copy
-    # that can drift from them.
+    # reproduce.py's numerical checks use core's MASS_SUM_TOL; a module-level
+    # float of its own would be a second copy that can drift from it.  Its
+    # point-valued check is a width test, so it does not read MASS_DROP_EPS,
+    # the mass that counts as none.
     path = SRC / "reproduce.py"
     own = [
         ast.unparse(node)
@@ -99,4 +100,5 @@ def test_reproduce_reads_core_tolerances():
         and isinstance(node.value.value, float)
     ]
     assert own == [], "use core's tolerances: " + ", ".join(own)
-    assert _readers(path, "MASS_SUM_TOL") and _readers(path, "MASS_DROP_EPS")
+    assert _readers(path, "MASS_SUM_TOL")
+    assert not _readers(path, "MASS_DROP_EPS")
