@@ -112,16 +112,6 @@ class FocalSet(_Frozen):
             raise IvbelError(f"focal set bits must be non-negative, got {bits}")
         object.__setattr__(self, "bits", bits)
 
-    # _Frozen's methods for the one field, written out: focal sets are the
-    # values the package compares and hashes most.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
-
     @property
     def cardinality(self) -> int:
         return self.bits.bit_count()

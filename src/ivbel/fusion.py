@@ -73,35 +73,41 @@ def _total_conflict(surviving: float, conflict: float) -> bool:
     return surviving <= MASS_DROP_EPS or conflict >= 1.0 - MASS_DROP_EPS
 
 
-def _surviving_mass(products: dict[int, float]) -> float:
-    """The surviving mass, ``math.fsum`` of the non-empty products, or 0.0 on
-    total conflict (:func:`_total_conflict`, K at key 0)."""
+def _dempster(products: dict[int, float]) -> dict[int, float] | None:
+    """Dempster's normalization, shared by Dempster's rule, Wang's vertex
+    tuples and Song's fold: each non-empty product divided by the surviving
+    mass, the ``math.fsum`` of the non-empty products; None on total
+    conflict (:func:`_total_conflict`, K at key 0).
+
+    The divisor is the exact surviving mass rather than ``1 - K``: near
+    total conflict, K is known only to an absolute rounding error that is
+    large relative to ``1 - K``.  No quotient exceeds 1 when no product is
+    negative, as for vertices, whose coordinates are at least their lower
+    bounds: ``fsum`` rounds correctly, so the surviving mass is at least
+    each product, and the division rounds monotonely.
+    """
     surviving = math.fsum(m for bits, m in products.items() if bits)
-    return 0.0 if _total_conflict(surviving, products.get(0, 0.0)) else surviving
+    if _total_conflict(surviving, products.get(0, 0.0)):
+        return None
+    return {bits: m / surviving for bits, m in products.items() if bits}
 
 
 def dempster_combine(b1: Bpa, b2: Bpa) -> tuple[Bpa, float]:
     """Dempster's rule for two BPAs on one frame: the combined BPA and the
-    conflict K, the mass the products assign to the empty set.  Raises
-    :class:`TotalConflictError` on total conflict (:func:`_surviving_mass`).
-
-    The products are divided by the exact surviving mass rather than by
-    ``1 - K``: near total conflict, K is known only to an absolute rounding
-    error that is large relative to ``1 - K``.
+    conflict K, the mass the products assign to the empty set.  The products
+    are normalized by :func:`_dempster`; raises :class:`TotalConflictError`
+    on total conflict.
     """
     _check_same_frame((b1, b2))
     raw = _products(
         [(fs.bits, m) for fs, m in b1.entries], [(fs.bits, m) for fs, m in b2.entries]
     )
-    surviving = _surviving_mass(raw)
-    conflict = raw.pop(0, 0.0)
-    if not surviving:
+    conflict = raw.get(0, 0.0)
+    combined = _dempster(raw)
+    if combined is None:
         raise TotalConflictError(f"not combinable: total conflict (K={conflict:.12g})")
-    scale = 1.0 / surviving
-    combined = Bpa(
-        b1.frame, tuple((FocalSet(bits), mass * scale) for bits, mass in raw.items())
-    )
-    return combined, conflict
+    entries = tuple((FocalSet(bits), mass) for bits, mass in combined.items())
+    return Bpa(b1.frame, entries), conflict
 
 
 def dempster_combine_n(bodies: Sequence[Bpa]) -> tuple[Bpa, float]:

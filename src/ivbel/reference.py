@@ -33,7 +33,7 @@ from .core import (
     _pignistic_sums,
     normalize,
 )
-from .fusion import CombinationReport, _products, _surviving_mass, _total_conflict
+from .fusion import CombinationReport, _dempster, _products, _total_conflict
 from .polytope import enumerate_vertices
 
 __all__ = [
@@ -222,9 +222,9 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
     """Exact bounds of the Dempster ratio over per-body polytope vertices.
 
     For every tuple of vertices (one per body) the bodies are combined with
-    Dempster's rule; each target's combined mass is a ratio of multilinear
-    forms, so its extrema over the product polytope are attained at vertex
-    tuples.  Tuples in total conflict are skipped as infeasible; if every
+    Dempster's rule (``fusion._dempster``); each target's combined mass is a
+    ratio of multilinear forms, so its extrema over the product polytope are
+    attained at vertex tuples.  Tuples in total conflict are skipped as infeasible; if every
     tuple conflicts totally the bodies are not combinable.  Inputs must be
     normalized.
     """
@@ -233,16 +233,8 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
     if not targets:
         raise TotalConflictError("not combinable: every focal-set tuple conflicts")
 
-    def ratios() -> Iterator[dict[int, float]]:
-        for masses in _vertex_products(bodies):
-            surviving = _surviving_mass(masses)
-            if not surviving:
-                continue
-            # Divided by the surviving mass (dempster_combine multiplies by its
-            # reciprocal); above 1 only for a coordinate below zero within MASS_SUM_TOL.
-            yield {t: min(m / surviving, 1.0) for t, m in masses.items() if t}
-
-    lows, highs = _extrema(targets, ratios())
+    ratios = (r for r in map(_dempster, _vertex_products(bodies)) if r is not None)
+    lows, highs = _extrema(targets, ratios)
     if math.inf in lows.values():
         raise TotalConflictError("not combinable: all vertex tuples are in total conflict")
     return IntervalMassResult(
@@ -257,10 +249,11 @@ def wang_combine(bodies: Sequence[IntervalBeliefStructure]) -> IntervalMassResul
 def _ifs_fold(e1: tuple[float, float], e2: tuple[float, float]) -> tuple[float, float]:
     """Combine two intuitionistic assessments ``(mu, gamma)`` of one singleton.
 
-    This is Dempster's rule, run by ``fusion``'s kernel, on a two-element
+    This is Dempster's rule, run by ``fusion._dempster``, on a two-element
     frame with masses ``(mu, gamma, pi)`` on (yes, no, either), where the
     hesitancy ``pi = 1 - mu - gamma`` is clamped at 0; it is therefore
-    commutative and associative.
+    commutative and associative.  Where both triples sum to exactly 1 it
+    equals :func:`~ivbel.fusion.dempster_combine` on them, bit for bit.
     """
     (mu1, gamma1), (mu2, gamma2) = e1, e2
     # Bits 1, 2, 3 are yes, no, either; key 0 holds the conflict.
@@ -268,10 +261,10 @@ def _ifs_fold(e1: tuple[float, float], e2: tuple[float, float]) -> tuple[float, 
         ((1, mu1), (2, gamma1), (3, max(0.0, 1.0 - mu1 - gamma1))),
         ((1, mu2), (2, gamma2), (3, max(0.0, 1.0 - mu2 - gamma2))),
     )
-    surviving = _surviving_mass(masses)
-    if not surviving:
+    combined = _dempster(masses)
+    if combined is None:
         raise TotalConflictError("IFS total conflict")
-    return masses.get(1, 0.0) / surviving, masses.get(2, 0.0) / surviving
+    return combined.get(1, 0.0), combined.get(2, 0.0)
 
 
 def song_combine_detail(bodies: Sequence[IntervalBeliefStructure]) -> CombinationReport:

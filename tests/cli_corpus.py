@@ -7,7 +7,8 @@ output change, regenerate that file with::
 
     PYTHONPATH=src python tests/cli_corpus.py
 
-which prints the header of each record that changed, then the count; list
+which prints the header of each record that changed, with how it changed
+(``numbers only, max |Δ| = ...`` or ``text changed``), then the count; list
 those invocations, and why they changed, in CHANGES.md.
 
 Each record in the file is a ``### ivbel ...`` header line, an ``exit N``
@@ -23,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from importlib import resources
@@ -184,12 +186,30 @@ def parse(text: str) -> list[str]:
     return parts[:1] + ["### " + part for part in parts[1:]]
 
 
+def _by_header(records: list[str]) -> dict[str, str]:
+    return {r.split("\n", 1)[0]: r for r in records}
+
+
 def changed_headers(old: list[str], new: list[str]) -> list[str]:
     """The header of each record of ``new`` that ``old`` lacks or records
     differently, then of each record of ``old`` that ``new`` drops."""
-    was = {r.split("\n", 1)[0]: r for r in old}
-    now = {r.split("\n", 1)[0]: r for r in new}
+    was, now = _by_header(old), _by_header(new)
     return [h for h, r in now.items() if was.get(h) != r] + [h for h in was if h not in now]
+
+
+# A printed float: it has a decimal point or an exponent, so counts, exit
+# codes and the digits of labels such as A1 stay text.
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)(?![\w.])")
+
+
+def how_changed(old: str | None, new: str | None) -> str:
+    """How a record moved: ``numbers only, max |Δ| = ...`` when the two
+    versions differ only in the floats they print, else ``text changed``
+    (also for a record one side lacks)."""
+    if old is None or new is None or NUMBER.split(old) != NUMBER.split(new):
+        return "text changed"
+    pairs = zip(NUMBER.findall(old), NUMBER.findall(new))
+    return f"numbers only, max |Δ| = {max(abs(float(a) - float(b)) for a, b in pairs):.2g}"
 
 
 def regenerate() -> None:
@@ -200,8 +220,9 @@ def regenerate() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("\n".join(records) + "\n", encoding="utf-8")
     changed = changed_headers(old, records)
+    was, now = _by_header(old), _by_header(records)
     for header in changed:
-        print(f"changed: {header}", file=sys.stderr)
+        print(f"changed: {header} ({how_changed(was.get(header), now.get(header))})", file=sys.stderr)
     print(f"wrote {len(records)} records to {GOLDEN}, {len(changed)} changed", file=sys.stderr)
 
 

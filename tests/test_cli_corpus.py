@@ -3,7 +3,7 @@ records, byte for byte (see ``tests/cli_corpus.py``)."""
 
 import pytest
 
-from cli_corpus import GOLDEN, changed_headers, parse, render, write_inputs
+from cli_corpus import GOLDEN, changed_headers, how_changed, parse, render, write_inputs
 
 
 def first_difference(expected: list[str], actual: list[str]) -> str | None:
@@ -52,3 +52,14 @@ def test_changed_headers_names_changed_added_and_dropped_records():
     new = ["### ivbel a\nexit 0\n1|y", "### ivbel b\nexit 0", "### ivbel d\nexit 0"]
     assert changed_headers(old, new) == ["### ivbel a", "### ivbel d", "### ivbel c"]
     assert changed_headers([], new[:1]) == ["### ivbel a"]
+
+
+def test_how_changed_tells_moved_floats_from_changed_text():
+    old = "### ivbel a\nexit 0\n1|A1 [0.3, 0.7] 1e-16 57/60"
+    assert how_changed(old, old) == "numbers only, max |Δ| = 0"
+    moved = old.replace("0.7]", "0.7000000000000001]").replace("1e-16", "2e-16")
+    assert how_changed(old, moved) == "numbers only, max |Δ| = 1.1e-16"
+    for edit in (("A1", "A2"), ("exit 0", "exit 2"), ("57/", "56/"), ("0.3", "x")):
+        assert how_changed(old, old.replace(*edit)) == "text changed", edit
+    assert how_changed(old, old + "\n1|0.5") == "text changed"
+    assert how_changed(None, old) == how_changed(old, None) == "text changed"

@@ -43,9 +43,9 @@ from helpers import (
 FRAME = Frame(("A", "B", "C"))
 
 # dempster_combine against Dempster's rule in exact rationals, per focal set.
-# Over seeds 0..19999 of _unit_float_masses pairs the largest gap was
-# 2.06e-16; 4e-16 is just under two ulps of 1.0.
-DEMPSTER_EXACT_TOL = 4e-16
+# Over seeds 0..99999 of _unit_float_masses pairs the largest gap was
+# 1.11e-16, one ulp of a mass in [0.5, 1); 2e-16 is just under one ulp of 1.0.
+DEMPSTER_EXACT_TOL = 2e-16
 
 
 def bpa(mapping):

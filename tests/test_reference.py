@@ -563,7 +563,10 @@ def test_containment_chain_on_point_valued_bodies():
             (combine("proposed", bodies, measure=mid).result, 0.0)
             for mid in ("pal", "nguyen", "dubois-prade")
         ]
-        outs.append((combine("wang", bodies).result, 1e-15))
+        # Wang's one tuple is Dempster's rule run by the same kernel, so at
+        # k = 2 it is the fold bit for bit; at k >= 3 dempster_combine_n
+        # normalizes after each fold and Wang once per tuple.
+        outs.append((combine("wang", bodies).result, 0.0 if k == 2 else 1e-15))
         if k == 2:
             # Denoeux's normalization divides by plain float sums, min(1 -
             # e_lo, lo + sum(hi)), where Dempster's rule divides by the fsum
@@ -629,7 +632,8 @@ class TestIfs:
     )
     def test_equivalent_to_two_frame_dempster(self, a1, g1, a2, g2):
         """(mu, gamma, pi) behaves as masses on (yes, no, either) under
-        Dempster's rule, and matches it in exact rationals to 1e-15."""
+        Dempster's rule: it equals dempster_combine where both triples sum
+        to exactly 1, and matches the rule in exact rationals to 1e-15."""
         frame = Frame(("yes", "no"))
         scale1 = max(1.0, a1 + g1)
         scale2 = max(1.0, a2 + g2)
@@ -653,8 +657,11 @@ class TestIfs:
                 dempster_combine(*bpas)
             return
         combined, _ = dempster_combine(*bpas)
-        assert combined.mass(frame.singleton("yes")) == pytest.approx(mu, abs=1e-9)
-        assert combined.mass(frame.singleton("no")) == pytest.approx(gamma, abs=1e-9)
+        # Where both triples sum to exactly 1, as_pairs keeps them as they
+        # are, and both rules divide the same products in the same kernel.
+        tol = 0.0 if all(sum(masses(e)) == 1.0 for e in (e1, e2)) else 1e-9
+        assert abs(combined.mass(frame.singleton("yes")) - mu) <= tol
+        assert abs(combined.mass(frame.singleton("no")) - gamma) <= tol
         (m1, n1, p1), (m2, n2, p2) = (tuple(map(Fraction, masses(e))) for e in (e1, e2))
         yes = m1 * (m2 + p2) + p1 * m2
         no = n1 * (n2 + p2) + p1 * n2

@@ -1,5 +1,6 @@
 """Every tolerance in the package has a name, `reproduce` keeps no copy of
-core's, and the total-conflict rule has one owner.
+core's, and the total-conflict rule and Dempster's normalization each have
+one owner.
 
 `MASS_DROP_EPS` is the mass that counts as none.  It is read by the one
 total-conflict test (`fusion._total_conflict`), `normalize`'s refusal of a
@@ -84,6 +85,25 @@ def test_total_conflict_has_one_owner():
         for reader in _readers(SRC / module, "MASS_DROP_EPS")
     }
     assert readers == {"fusion.py:_total_conflict"}
+
+
+def test_dempster_normalization_has_one_owner():
+    # Dempster's rule, Wang's tuples and Song's fold divide their products by
+    # the surviving mass in fusion._dempster; only Denoeux's interval
+    # normalization applies the total-conflict test to sums of its own.
+    def readers(name: str) -> set[str]:
+        return {
+            f"{module}:{reader}"
+            for module in ("fusion.py", "reference.py")
+            for reader in _readers(SRC / module, name)
+        }
+
+    assert readers("_dempster") == {
+        "fusion.py:dempster_combine",
+        "reference.py:wang_combine",
+        "reference.py:_ifs_fold",
+    }
+    assert readers("_total_conflict") == {"fusion.py:_dempster", "reference.py:denoeux_normalize"}
 
 
 def test_reproduce_reads_core_tolerances():
